@@ -44,6 +44,9 @@ func TestServerTimingFields(t *testing.T) {
 	if resp.RID != "cli-42" {
 		t.Errorf("rid = %q, want the client-supplied cli-42", resp.RID)
 	}
+	// The response is written before the trace is finished: wait for the
+	// recorder to hold both requests before inspecting it.
+	waitFor(t, "both traces recorded", func() bool { return rt.Snapshot().Total >= 2 })
 	found := false
 	for _, tr := range rt.Snapshot().Recent {
 		if tr.ID == "cli-42" {
@@ -126,6 +129,7 @@ func TestRequestTraceRecorded(t *testing.T) {
 		t.Fatal("bogus op succeeded")
 	}
 
+	waitFor(t, "both traces recorded", func() bool { return rt.Snapshot().Total >= 2 })
 	snap := rt.Snapshot()
 	if snap.Total != 2 || snap.Errored != 1 {
 		t.Fatalf("recorder totals = %d/%d, want 2 requests, 1 errored", snap.Total, snap.Errored)
@@ -174,6 +178,7 @@ func TestSlowThresholdForceRetains(t *testing.T) {
 	if _, err := c.Paths("0x0:0", "0xff:7", 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, "trace recorded", func() bool { return rt.Snapshot().Total >= 1 })
 	snap := rt.Snapshot()
 	if len(snap.Slow) != 1 || !snap.Slow[0].Slow {
 		t.Errorf("slow bucket = %v, want the one over-threshold request", snap.Slow)
