@@ -104,7 +104,7 @@ func (e *ServerError) Unwrap() error {
 // a reclaimed call's channel is provably empty.
 type call struct {
 	done  chan struct{}
-	resp  Response    // v1 result, set before done
+	resp  *Response   // v1 result target; nil for v2 calls
 	resp2 *ResponseV2 // v2 decode target (caller-owned); nil for v1 calls
 	err   error       // set before done when the call failed
 }
@@ -115,7 +115,7 @@ var callPool = sync.Pool{New: func() any {
 
 func newCall() *call {
 	ca := callPool.Get().(*call)
-	ca.resp = Response{}
+	ca.resp = nil
 	ca.resp2 = nil
 	ca.err = nil
 	return ca
@@ -320,59 +320,63 @@ func (c *Client) reader() {
 			return
 		}
 		rbuf = payload
-		if payload[0] == frameMagicV2 {
+		// Both encodings carry the correlation id up front: v2 at a fixed
+		// header offset, v1 only after a full JSON decode.
+		v2 := payload[0] == frameMagicV2
+		var resp Response
+		var id uint64
+		if v2 {
 			if len(payload) < respV2HeaderLen {
 				c.fail(errV2Short)
 				return
 			}
-			id := binary.BigEndian.Uint64(payload[4:12])
-			ca, unknown := c.claim(id)
-			if unknown {
-				c.fail(fmt.Errorf("pathsvc: response for id %d, which was never issued", id))
+			id = binary.BigEndian.Uint64(payload[4:12])
+		} else {
+			if resp, err = DecodeResponse(payload); err != nil {
+				c.fail(err)
 				return
 			}
-			if ca == nil {
-				continue // late answer to a timed-out call
-			}
-			if ca.resp2 == nil {
-				c.failWith(ca, errors.New("pathsvc: binary response to a JSON request"))
-				return
-			}
-			if derr := DecodeResponseV2(payload, ca.resp2); derr != nil {
-				c.failWith(ca, derr)
-				return
-			}
-			ca.done <- struct{}{}
-			continue
+			id = resp.ID
 		}
-		resp, derr := DecodeResponse(payload)
-		if derr != nil {
-			c.fail(derr)
-			return
-		}
-		ca, unknown := c.claim(resp.ID)
+		ca, unknown := c.claim(id)
 		if unknown {
-			// The detail matters here: a v1-only server answers a binary
-			// frame it cannot parse with a JSON bad_request carrying id 0,
-			// which is how a forced-v2 client learns its mistake.
-			c.fail(fmt.Errorf("pathsvc: response for id %d, which was never issued (code %q: %s); does the server speak protocol v%d?",
-				resp.ID, resp.Code, resp.Err, c.proto))
+			err = fmt.Errorf("pathsvc: response for id %d, which was never issued", id)
+			if !v2 {
+				// The detail matters here: a v1-only server answers a binary
+				// frame it cannot parse with a JSON bad_request carrying id 0,
+				// which is how a forced-v2 client learns its mistake.
+				err = fmt.Errorf("%w (code %q: %s); does the server speak protocol v%d?", err, resp.Code, resp.Err, c.proto)
+			}
+			c.fail(err)
 			return
 		}
 		if ca == nil {
-			continue
+			continue // late answer to a timed-out call
 		}
-		if ca.resp2 != nil {
-			c.failWith(ca, errors.New("pathsvc: JSON response to a binary request"))
+		if v2 != (ca.resp2 != nil) {
+			msg := "pathsvc: JSON response to a binary request"
+			if v2 {
+				msg = "pathsvc: binary response to a JSON request"
+			}
+			c.failWith(ca, errors.New(msg))
 			return
 		}
-		ca.resp = resp
+		if v2 {
+			err = DecodeResponseV2(payload, ca.resp2)
+		} else {
+			*ca.resp = resp
+		}
+		if err != nil {
+			c.failWith(ca, err)
+			return
+		}
 		ca.done <- struct{}{}
 	}
 }
 
-// register allocates the next correlation id and parks a call under it.
-func (c *Client) register(resp2 *ResponseV2) (*call, uint64, error) {
+// register allocates the next correlation id and parks a call under it,
+// with the caller's v1 or v2 response as its result target.
+func (c *Client) register(resp *Response, resp2 *ResponseV2) (*call, uint64, error) {
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
@@ -382,7 +386,7 @@ func (c *Client) register(resp2 *ResponseV2) (*call, uint64, error) {
 	c.nextID++
 	id := c.nextID
 	ca := newCall()
-	ca.resp2 = resp2
+	ca.resp, ca.resp2 = resp, resp2
 	c.pending[id] = ca
 	c.mu.Unlock()
 	return ca, id, nil
@@ -447,39 +451,24 @@ func (c *Client) await(ca *call, id uint64, reqTimeout time.Duration) error {
 // each frame in the encoding it arrived in — which is what keeps old-style
 // callers working on an upgraded connection.
 func (c *Client) Do(req Request) (*Response, error) {
-	ca, id, err := c.register(nil)
+	resp := new(Response)
+	ca, id, err := c.register(resp, nil)
 	if err != nil {
 		return nil, err
 	}
 	req.Ver, req.ID = ProtocolVersion, id
-	payload, err := encodeJSONFrame(&req, c.opts.MaxFrame)
+	// The JSON path allocates anyway; the binary path is the
+	// allocation-free one.
+	payload, err := json.Marshal(&req)
 	if err != nil {
-		// Nothing hit the wire; the connection is still healthy.
-		c.reclaim(id)
-		callPool.Put(ca)
+		err = fmt.Errorf("pathsvc: encode frame: %w", err)
+	}
+	bufp := frameBufPool.Get().(*[]byte)
+	buf := append(appendFramePrefix(*bufp), payload...)
+	if err := c.roundTrip(ca, id, bufp, buf, err, time.Duration(req.TimeoutMS)*time.Millisecond); err != nil {
 		return nil, err
 	}
-	if err := c.writeFrame(payload); err != nil {
-		return nil, err
-	}
-	if err := c.await(ca, id, time.Duration(req.TimeoutMS)*time.Millisecond); err != nil {
-		return nil, err
-	}
-	if ca.err != nil {
-		err := ca.err
-		callPool.Put(ca)
-		return nil, err
-	}
-	resp := ca.resp
-	callPool.Put(ca)
-	if resp.Code != CodeOK {
-		return &resp, &ServerError{
-			Code:       resp.Code,
-			Msg:        resp.Err,
-			RetryAfter: time.Duration(resp.RetryAfterMS) * time.Millisecond,
-		}
-	}
-	return &resp, nil
+	return resp, serverError(resp.Code, resp.Err, time.Duration(resp.RetryAfterMS)*time.Millisecond)
 }
 
 // DoV2 sends one binary request and decodes the response into resp, which
@@ -490,60 +479,58 @@ func (c *Client) DoV2(req *RequestV2, resp *ResponseV2) error {
 	if c.proto < ProtocolV2 {
 		return fmt.Errorf("pathsvc: connection speaks v%d; DoV2 needs v2 (dial with Proto 0 or 2)", c.proto)
 	}
-	ca, id, err := c.register(resp)
+	ca, id, err := c.register(nil, resp)
 	if err != nil {
 		return err
 	}
 	req.ID = id
 	bufp := frameBufPool.Get().(*[]byte)
-	buf := appendFramePrefix(*bufp)
-	buf = AppendRequestV2(buf, req)
-	if n := patchFramePrefix(buf); n > c.opts.MaxFrame {
-		*bufp = buf[:0]
-		frameBufPool.Put(bufp)
-		c.reclaim(id)
-		callPool.Put(ca)
-		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, c.opts.MaxFrame)
-	}
-	err = c.writeFrame(buf)
-	*bufp = buf[:0]
-	frameBufPool.Put(bufp)
-	if err != nil {
+	buf := AppendRequestV2(appendFramePrefix(*bufp), req)
+	if err := c.roundTrip(ca, id, bufp, buf, nil, time.Duration(req.TimeoutNS)); err != nil {
 		return err
 	}
-	if err := c.await(ca, id, time.Duration(req.TimeoutNS)); err != nil {
-		return err
-	}
-	if ca.err != nil {
-		err := ca.err
-		callPool.Put(ca)
-		return err
-	}
-	callPool.Put(ca)
-	if resp.Code != StatusOK {
-		return &ServerError{
-			Code:       codeOfStatus(resp.Code),
-			Msg:        resp.Err,
-			RetryAfter: time.Duration(resp.RetryAfterNS),
-		}
-	}
-	return nil
+	return serverError(codeOfStatus(resp.Code), resp.Err, time.Duration(resp.RetryAfterNS))
 }
 
-// encodeJSONFrame marshals one v1 frame into a fresh buffer (the JSON path
-// allocates anyway; the binary path is the allocation-free one).
-func encodeJSONFrame(v any, max int) ([]byte, error) {
-	buf := appendFramePrefix(nil)
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("pathsvc: encode frame: %w", err)
+// roundTrip is the shared tail of Do and DoV2: frame the registered call's
+// encoded request (buf, in the pooled *bufp, released once written), write
+// it, and await the answer. encErr reports a request that could not be
+// encoded; like an oversized one it fails the call without touching the
+// wire, so the connection stays healthy.
+func (c *Client) roundTrip(ca *call, id uint64, bufp *[]byte, buf []byte, encErr error, timeout time.Duration) error {
+	if n := patchFramePrefix(buf); encErr == nil && n > c.opts.MaxFrame {
+		encErr = fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, c.opts.MaxFrame)
 	}
-	if len(payload) > max {
-		return nil, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(payload), max)
+	err := encErr
+	if err == nil {
+		err = c.writeFrame(buf)
 	}
-	buf = append(buf, payload...)
-	patchFramePrefix(buf)
-	return buf, nil
+	*bufp = buf[:0]
+	frameBufPool.Put(bufp)
+	switch {
+	case encErr != nil:
+		// Nothing hit the wire; the connection is still healthy.
+		c.reclaim(id)
+		callPool.Put(ca)
+		return encErr
+	case err != nil:
+		return err // writeFrame poisoned the client and drained the call
+	}
+	if err := c.await(ca, id, timeout); err != nil {
+		return err
+	}
+	err = ca.err
+	callPool.Put(ca)
+	return err
+}
+
+// serverError surfaces a non-OK response code as a *ServerError (nil for
+// CodeOK).
+func serverError(code, msg string, retryAfter time.Duration) error {
+	if code == CodeOK {
+		return nil
+	}
+	return &ServerError{Code: code, Msg: msg, RetryAfter: retryAfter}
 }
 
 // Paths requests the disjoint-path container between u and v ("x:y" form).

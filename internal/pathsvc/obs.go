@@ -1,8 +1,10 @@
 package pathsvc
 
 import (
+	"strconv"
 	"time"
 
+	"repro/internal/hhc"
 	"repro/internal/obs"
 )
 
@@ -218,6 +220,29 @@ func (t *reqTrace) id() string {
 func (t *reqTrace) setAttr(key, value string) {
 	if t != nil {
 		t.q.SetAttr(key, value)
+	}
+}
+
+// setQuery annotates a traced request with its endpoints (paths, route)
+// or its pair count (batch). Rendering runs only when a tracer is
+// recording: node formatting costs allocations the hot path must not pay.
+func (t *reqTrace) setQuery(op string, u, v hhc.Node, pairs int) {
+	if t == nil {
+		return
+	}
+	switch op {
+	case OpPaths, OpRoute:
+		t.q.SetAttr("u", hhc.FormatNodeWire(u))
+		t.q.SetAttr("v", hhc.FormatNodeWire(v))
+	case OpBatch:
+		t.q.SetAttr("pairs", strconv.Itoa(pairs))
+	}
+}
+
+// setWidth records the container width a traced request was served.
+func (t *reqTrace) setWidth(k int) {
+	if t != nil {
+		t.q.SetAttr("width", strconv.Itoa(k))
 	}
 }
 

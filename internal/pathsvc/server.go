@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"runtime"
 	"sort"
@@ -202,6 +203,32 @@ type coalesceKey struct {
 	u, v hhc.Node
 }
 
+// request is one decoded frame in node-native form, whichever encoding it
+// arrived in: the edge decoders (decodeV1, decodeV2) fill it and serve runs
+// the one protocol-independent pipeline on it. Each connection reuses one
+// instance as its decode scratch.
+type request struct {
+	RequestV2
+	proto uint8  // ProtocolVersion or ProtocolV2: which encoder answers
+	op    string // op name (v1 echoes the client's spelling, even for an unknown op)
+	// err is the first endpoint or fault address that failed to decode (a
+	// paths/route query answered bad_request before admission).
+	err string
+	// pairErrs holds the per-pair address errors of a batch, aligned with
+	// Pairs; empty when every pair decoded.
+	pairErrs []string
+	// echo is the client's own batch pair text (v1), echoed verbatim per item.
+	echo [][2]string
+}
+
+// pairErr records the address error of pair i of an n-pair batch.
+func (r *request) pairErr(i, n int, msg string) {
+	if len(r.pairErrs) == 0 {
+		r.pairErrs = make([]string, n)
+	}
+	r.pairErrs[i] = msg
+}
+
 // pendingReq is everything needed to answer one requester: leader and
 // coalesced waiters carry the same shape. proto records which wire version
 // the request arrived in, so coalesced v1 and v2 requesters of the same
@@ -212,6 +239,7 @@ type pendingReq struct {
 	id       uint64
 	rid      string // request id echoed in the response ("" = untraced, none supplied)
 	op       string
+	echo     [][2]string // v1 batch pair text (see request.echo)
 	maxPaths int
 	degraded bool
 	// coalesced marks a waiter answered by piggybacking on the leader's
@@ -230,14 +258,13 @@ type pendingReq struct {
 // task is one unit of queued work.
 type task struct {
 	pendingReq
-	u, v  hhc.Node
-	pairs [][2]string
-	// nodePairs is the node-native batch form of v2 requests (pairs stays
-	// the textual v1 form; exactly one of the two is set).
-	nodePairs []NodePair
-	faults    map[hhc.Node]bool
-	enqueued  time.Time
-	lead      bool // owns an entry in Server.inflight
+	u, v hhc.Node
+	// batch holds one answer slot per batch pair: endpoints in, paths or
+	// error out (pairs the edge could not decode arrive already failed).
+	batch    []BatchItemV2
+	faults   map[hhc.Node]bool
+	enqueued time.Time
+	lead     bool // owns an entry in Server.inflight
 	// forwarded mirrors the wire's hop-guard bit: the query already crossed
 	// a peer hop, so this server must answer it locally whatever the ring says.
 	forwarded bool
@@ -251,15 +278,16 @@ type flight struct {
 
 // outcome is a worker's answer, shared by the leader and all waiters.
 type outcome struct {
-	code    string
-	errMsg  string
-	paths   [][]hhc.Node
-	results []BatchItem
-	// resultsV2 is the node-native batch answer of a v2 batch task (batches
-	// are never coalesced, so exactly one of results/resultsV2 is set).
-	resultsV2 []BatchItemV2
-	retryMS   int64
-	execNS    int64 // construction time, shared by every coalesced recipient
+	code       string
+	errMsg     string
+	paths      [][]hhc.Node
+	results    []BatchItemV2
+	retryAfter time.Duration
+	execNS     int64 // construction time, shared by every coalesced recipient
+	// width, full, and degraded describe one recipient's container, set by
+	// respond on its own copy.
+	width, full int
+	degraded    bool
 }
 
 // serverConn serializes concurrent response writes onto one connection.
@@ -274,64 +302,22 @@ type serverConn struct {
 	pending sync.WaitGroup
 }
 
-func (pc *serverConn) send(resp *Response) {
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	err := WriteFrame(pc.c, resp, pc.maxSend)
-	if err == nil || !errors.Is(err, ErrFrameTooLarge) {
-		// An I/O error means the peer vanished; the reader will observe the
-		// broken connection and clean up, so there is nobody left to notify.
-		return
-	}
-	// The encoded response outgrew the frame limit. The peer is alive and
-	// blocked on its answer, so silence would hang it forever: substitute a
-	// small typed error, and if even that cannot be framed, close the
-	// connection so the client at least sees EOF.
-	small := &Response{Ver: ProtocolVersion, ID: resp.ID, Op: resp.Op,
-		Code: CodeInternal, Err: err.Error()}
-	if WriteFrame(pc.c, small, pc.maxSend) != nil {
-		_ = pc.c.Close()
-	}
-}
-
-// sendV2 encodes and writes one binary response as a single frame from a
-// pooled buffer: no intermediate payload slice, no per-field marshalling
-// state, and exactly one conn.Write, so the steady-state send path
-// allocates nothing.
+// write sends one encoded frame with a single conn.Write. A frame over the
+// limit here is an encoder's frame-limit substitute that still did not
+// fit: the connection is closed so the client at least sees EOF rather
+// than waiting on silence.
 //
 //hhc:hotpath
-func (pc *serverConn) sendV2(resp *ResponseV2) {
-	bufp := frameBufPool.Get().(*[]byte)
-	buf := appendFramePrefix(*bufp)
-	buf = AppendResponseV2(buf, resp)
-	if patchFramePrefix(buf) > pc.maxSend {
-		buf = pc.oversizeV2(buf, resp)
-	}
-	if buf != nil {
-		pc.wmu.Lock()
-		// An I/O error means the peer vanished; the reader will observe the
-		// broken connection and clean up, so there is nobody left to notify.
-		_, _ = pc.c.Write(buf)
-		pc.wmu.Unlock()
-		*bufp = buf[:0]
-	}
-	frameBufPool.Put(bufp)
-}
-
-// oversizeV2 replaces a v2 response that outgrew the frame limit with a
-// small typed error — the peer is alive and blocked on its answer, so
-// silence would hang it forever. If even the substitute cannot be framed,
-// the connection is closed so the client at least sees EOF.
-func (pc *serverConn) oversizeV2(buf []byte, resp *ResponseV2) []byte {
-	small := ResponseV2{ID: resp.ID, RID: resp.RID, Op: resp.Op, Code: StatusInternal,
-		Err: fmt.Sprintf("%s: response exceeds %d bytes", ErrFrameTooLarge.Error(), pc.maxSend)}
-	buf = appendFramePrefix(buf)
-	buf = AppendResponseV2(buf, &small)
+func (pc *serverConn) write(buf []byte) {
+	pc.wmu.Lock()
+	defer pc.wmu.Unlock()
 	if patchFramePrefix(buf) > pc.maxSend {
 		_ = pc.c.Close()
-		return nil
+		return
 	}
-	return buf
+	// An I/O error means the peer vanished; the reader will observe the
+	// broken connection and clean up, so there is nobody left to notify.
+	_, _ = pc.c.Write(buf)
 }
 
 // Server serves disjoint-path queries over length-prefixed JSON frames.
@@ -592,8 +578,9 @@ func (s *Server) openConns() int {
 	return len(s.conns)
 }
 
-// handleConn reads frames off one connection and dispatches them. It never
-// closes the connection while worker responses are owed.
+// handleConn reads frames off one connection, decodes each at the edge,
+// and serves it. It never closes the connection while worker responses
+// are owed.
 func (s *Server) handleConn(conn net.Conn) {
 	pc := &serverConn{c: conn, remote: conn.RemoteAddr().String(), maxSend: s.cfg.MaxFrame}
 	s.logConnOpen(pc.remote)
@@ -605,11 +592,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.connWG.Done()
 	}()
 	br := bufio.NewReader(conn)
-	// One read buffer and one v2 decode scratch per connection: every frame
-	// lands in rbuf (grown once, then reused) and binary requests decode
-	// into sreq, whose slices dispatchV2 copies out of before returning.
+	// One read buffer and one decode scratch per connection: every frame
+	// lands in rbuf (grown once, then reused) and decodes into req, whose
+	// slices serve copies out of before returning.
 	var rbuf []byte
-	var sreq RequestV2
+	var req request
 	for {
 		payload, err := ReadFrameInto(br, rbuf, s.cfg.MaxFrame)
 		if err != nil {
@@ -618,241 +605,196 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		rbuf = payload
+		if payload[0] == frameMagicV2 {
+			err = s.decodeV2(payload, &req)
+		} else {
+			err = s.decodeV1(payload, &req)
+		}
 		if s.closing() {
 			// The frame raced the drain decision; refuse it explicitly, in
-			// the encoding it arrived in (best effort — the id is only known
-			// if the payload decodes).
-			if payload[0] == frameMagicV2 {
-				if DecodeRequestV2(payload, &sreq) == nil {
-					s.counters.Requests.Inc()
-					op, _ := opNameOf(sreq.Op)
-					s.logResponse(pc.remote, op, sreq.RID, CodeShutdown, ErrShutdown.Error())
-					pc.sendV2(&ResponseV2{ID: sreq.ID, RID: sreq.RID, Op: sreq.Op,
-						Code: StatusShutdown, Err: ErrShutdown.Error()})
-				}
-			} else if req, derr := DecodeRequest(payload); derr == nil {
-				s.counters.Requests.Inc()
-				s.logResponse(pc.remote, req.Op, req.RID, CodeShutdown, ErrShutdown.Error())
-				pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: req.RID,
-					Op: req.Op, Code: CodeShutdown, Err: ErrShutdown.Error()})
+			// the encoding it arrived in (best effort — only a decodable
+			// frame can be addressed).
+			if err == nil {
+				s.refuse(pc, &req, CodeShutdown, ErrShutdown.Error())
 			}
 			return
 		}
-		if payload[0] == frameMagicV2 {
-			if derr := DecodeRequestV2(payload, &sreq); derr != nil {
-				// A structurally broken binary frame is still answerable —
-				// the outer framing holds, and when at least the header
-				// arrived the refusal can carry the request's id.
-				s.counters.Requests.Inc()
-				s.counters.Failed.Inc()
-				op, _ := opNameOf(sreq.Op)
-				s.logResponse(pc.remote, op, sreq.RID, CodeBadRequest, derr.Error())
-				pc.sendV2(&ResponseV2{ID: sreq.ID, Op: sreq.Op,
-					Code: StatusBadRequest, Err: derr.Error()})
-				continue
-			}
-			s.dispatchV2(pc, &sreq)
-			continue
-		}
-		req, err := DecodeRequest(payload)
 		if err != nil {
-			// JSON-level garbage is answerable (framing still holds).
-			s.counters.Requests.Inc()
-			s.counters.Failed.Inc()
-			s.logResponse(pc.remote, req.Op, req.RID, CodeBadRequest, err.Error())
-			pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: req.RID,
-				Op: req.Op, Code: CodeBadRequest, Err: err.Error()})
+			// A structurally broken frame is still answerable — the outer
+			// framing holds, and whatever decoded (the id, when at least the
+			// header arrived) addresses the refusal.
+			s.refuse(pc, &req, CodeBadRequest, err.Error())
 			continue
 		}
-		s.dispatch(pc, req)
+		s.serve(pc, &req)
 	}
 }
 
-// dispatch validates a request, answers trivial ops inline, coalesces
-// duplicate path queries, and runs admission control for the rest. It runs
-// on the connection's reader goroutine, so AdmitBlock backpressure parks
-// exactly the connection that is overloading the queue.
-func (s *Server) dispatch(pc *serverConn, req Request) {
+// decodeV1 is the JSON edge and the only server code that parses text:
+// node addresses (a failure keeps ParseNode's message), the millisecond
+// timeout, and the client's batch pair text, kept for the v1 encoder to
+// echo verbatim.
+func (s *Server) decodeV1(payload []byte, req *request) error {
+	raw, err := DecodeRequest(payload)
+	req.proto, req.op, req.err, req.echo = ProtocolVersion, raw.Op, "", raw.Pairs
+	req.Op, _ = opCodeOf(raw.Op)
+	req.ID, req.RID, req.Origin, req.Forwarded = raw.ID, raw.RID, raw.Origin, raw.Fwd
+	req.MaxPaths, req.TimeoutNS = raw.MaxPaths, int64(time.Duration(raw.TimeoutMS)*time.Millisecond)
+	req.Faults, req.Pairs, req.pairErrs = req.Faults[:0], req.Pairs[:0], req.pairErrs[:0]
+	if err != nil {
+		return err
+	}
+	switch raw.Op {
+	case OpPaths, OpRoute:
+		if req.U, err = s.g.ParseNode(raw.U); err == nil {
+			req.V, err = s.g.ParseNode(raw.V)
+		}
+		for i := 0; err == nil && raw.Op == OpRoute && i < len(raw.Faults); i++ {
+			var f hhc.Node
+			if f, err = s.g.ParseNode(raw.Faults[i]); err == nil {
+				req.Faults = append(req.Faults, f)
+			}
+		}
+		if err != nil {
+			req.err = err.Error()
+		}
+	case OpBatch:
+		for i, pair := range raw.Pairs {
+			var p NodePair
+			p.U, err = s.g.ParseNode(pair[0])
+			if err == nil {
+				p.V, err = s.g.ParseNode(pair[1])
+			}
+			req.Pairs = append(req.Pairs, p)
+			if err != nil {
+				req.pairErr(i, len(raw.Pairs), err.Error())
+			}
+		}
+	}
+	return nil
+}
+
+// decodeV2 is the binary edge: addresses arrive node-native and skip
+// ParseNode, so the topology bound is checked here instead.
+//
+//hhc:hotpath
+func (s *Server) decodeV2(payload []byte, req *request) error {
+	err := DecodeRequestV2(payload, &req.RequestV2)
+	req.proto, req.err, req.echo = ProtocolV2, "", nil
+	req.op, _ = opNameOf(req.Op)
+	req.pairErrs = req.pairErrs[:0]
+	if err != nil {
+		// A frame that failed to decode echoes no rid: its tail is untrusted.
+		req.RID = ""
+		return err
+	}
+	if req.Op == OpCodePaths || req.Op == OpCodeRoute {
+		if !s.g.Contains(req.U) {
+			req.err = s.nodeRangeErr(req.U)
+		} else if !s.g.Contains(req.V) {
+			req.err = s.nodeRangeErr(req.V)
+		}
+	}
+	for _, f := range req.Faults {
+		if req.err == "" && !s.g.Contains(f) {
+			req.err = s.nodeRangeErr(f)
+		}
+	}
+	for i, p := range req.Pairs {
+		if !s.g.Contains(p.U) {
+			req.pairErr(i, len(req.Pairs), s.nodeRangeErr(p.U))
+		} else if !s.g.Contains(p.V) {
+			req.pairErr(i, len(req.Pairs), s.nodeRangeErr(p.V))
+		}
+	}
+	return nil
+}
+
+// nodeRangeErr renders the v2 analogue of hhc's out-of-range parse error
+// for addresses that arrived in binary form.
+func (s *Server) nodeRangeErr(u hhc.Node) string {
+	return fmt.Sprintf("pathsvc: node %s out of range for m=%d", s.g.FormatNode(u), s.g.M())
+}
+
+// refuse answers a frame that never reaches the pipeline (undecodable, or
+// racing the drain) with a typed error in its own encoding.
+func (s *Server) refuse(pc *serverConn, req *request, code, msg string) {
+	s.counters.Requests.Inc()
+	s.answer(pendingReq{pc: pc, proto: req.proto, id: req.ID, rid: req.RID, op: req.op,
+		start: time.Now()}, outcome{code: code, errMsg: msg})
+}
+
+// answer responds on the reader goroutine, bypassing the queue.
+func (s *Server) answer(p pendingReq, out outcome) {
+	p.tr.endAdmission()
+	p.pc.pending.Add(1)
+	s.respond(p, out)
+}
+
+// serve is the protocol-independent pipeline: it validates a decoded
+// request, answers trivial ops inline, and hands the rest to admission.
+// It runs on the connection's reader goroutine, so AdmitBlock
+// backpressure parks exactly the connection that is overloading the
+// queue. req is the connection's decode scratch, so everything the task
+// retains past return (faults, batch pairs) is copied out here.
+func (s *Server) serve(pc *serverConn, req *request) {
 	s.counters.Requests.Inc()
 	start := time.Now()
-	tr := s.beginTrace(req.Op, req.RID, pc.remote, req.Origin)
+	tr := s.beginTrace(req.op, req.RID, pc.remote, req.Origin)
 	// The echoed request id: the trace id when tracing is on (it adopts a
 	// client-supplied RID), else a pass-through of whatever the client sent.
 	rid := req.RID
 	if id := tr.id(); id != "" {
 		rid = id
 	}
+	p := pendingReq{pc: pc, proto: req.proto, id: req.ID, rid: rid, op: req.op,
+		echo: req.echo, maxPaths: req.MaxPaths, tr: tr, start: start}
 
-	switch req.Op {
-	case OpPing:
-		s.counters.Completed.Inc()
-		pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: rid, Op: req.Op})
-		tr.finish(CodeOK)
-		s.met.observeRequest(time.Since(start), rid)
+	var msg string
+	switch req.op {
+	case OpPing, OpInfo:
+		s.answer(p, outcome{})
 		return
-	case OpInfo:
-		s.counters.Completed.Inc()
-		pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: rid, Op: req.Op,
-			M: s.g.M(), Full: s.g.M() + 1, Width: s.g.M() + 1,
-			VerMax: MaxProtocolVersion})
-		tr.finish(CodeOK)
-		s.met.observeRequest(time.Since(start), rid)
-		return
-	case OpPaths, OpBatch, OpRoute:
+	case OpPaths, OpRoute:
+		msg = req.err
+	case OpBatch:
+		if len(req.Pairs) == 0 {
+			msg = "pathsvc: batch with no pairs"
+		} else if len(req.Pairs) > s.cfg.MaxBatch {
+			msg = fmt.Sprintf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.MaxBatch)
+		}
 	default:
-		s.fail(pc, req, rid, tr, fmt.Sprintf("unknown op %q", req.Op))
+		msg = fmt.Sprintf("unknown op %q", req.op)
+	}
+	if msg != "" {
+		s.answer(p, outcome{code: CodeBadRequest, errMsg: msg})
 		return
 	}
 
-	t := &task{
-		pendingReq: pendingReq{
-			pc: pc, proto: ProtocolVersion, id: req.ID, rid: rid, op: req.Op,
-			maxPaths: req.MaxPaths, tr: tr, start: start,
-		},
-		forwarded: req.Fwd,
-	}
-	var err error
-	switch req.Op {
-	case OpPaths, OpRoute:
-		if t.u, err = s.g.ParseNode(req.U); err == nil {
-			t.v, err = s.g.ParseNode(req.V)
-		}
-		if err == nil && req.Op == OpRoute {
-			t.faults = make(map[hhc.Node]bool, len(req.Faults))
-			for _, f := range req.Faults {
-				var fn hhc.Node
-				if fn, err = s.g.ParseNode(f); err != nil {
-					break
-				}
-				t.faults[fn] = true
-			}
+	t := &task{pendingReq: p, u: req.U, v: req.V, forwarded: req.Forwarded}
+	switch req.op {
+	case OpRoute:
+		t.faults = make(map[hhc.Node]bool, len(req.Faults))
+		for _, f := range req.Faults {
+			t.faults[f] = true
 		}
 	case OpBatch:
-		if len(req.Pairs) == 0 {
-			err = errors.New("pathsvc: batch with no pairs")
-		} else if len(req.Pairs) > s.cfg.MaxBatch {
-			err = fmt.Errorf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.MaxBatch)
-		}
-		t.pairs = req.Pairs
-	}
-	if err != nil {
-		s.fail(pc, req, rid, tr, err.Error())
-		return
-	}
-	switch req.Op {
-	case OpPaths, OpRoute:
-		tr.setAttr("u", req.U)
-		tr.setAttr("v", req.V)
-	case OpBatch:
-		tr.setAttr("pairs", fmt.Sprint(len(t.pairs)))
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	t.deadline = start.Add(timeout)
-	s.admit(t)
-}
-
-// dispatchV2 validates a binary-frame request, answers trivial ops inline,
-// and hands the rest to the shared admission path. req aliases the
-// connection's per-frame decode scratch, so everything the task retains
-// past return (faults, batch pairs) is copied out here; scalar endpoints
-// and the already-copied RID string ride along for free.
-func (s *Server) dispatchV2(pc *serverConn, req *RequestV2) {
-	s.counters.Requests.Inc()
-	start := time.Now()
-	op, _ := opNameOf(req.Op)
-	tr := s.beginTrace(op, req.RID, pc.remote, req.Origin)
-	rid := req.RID
-	if id := tr.id(); id != "" {
-		rid = id
-	}
-
-	switch req.Op {
-	case OpCodePing:
-		s.counters.Completed.Inc()
-		pc.sendV2(&ResponseV2{ID: req.ID, RID: rid, Op: req.Op})
-		tr.finish(CodeOK)
-		s.met.observeRequest(time.Since(start), rid)
-		return
-	case OpCodeInfo:
-		s.counters.Completed.Inc()
-		pc.sendV2(&ResponseV2{ID: req.ID, RID: rid, Op: req.Op,
-			M: s.g.M(), Full: s.g.M() + 1, Width: s.g.M() + 1})
-		tr.finish(CodeOK)
-		s.met.observeRequest(time.Since(start), rid)
-		return
-	}
-
-	t := &task{
-		pendingReq: pendingReq{
-			pc: pc, proto: ProtocolV2, id: req.ID, rid: rid, op: op,
-			maxPaths: req.MaxPaths, tr: tr, start: start,
-		},
-		forwarded: req.Forwarded,
-	}
-	var err error
-	switch req.Op {
-	case OpCodePaths, OpCodeRoute:
-		t.u, t.v = req.U, req.V
-		// Binary addresses skip ParseNode, so the topology bound is
-		// checked here instead.
-		if !s.g.Contains(t.u) {
-			err = s.nodeRangeErr(t.u)
-		} else if !s.g.Contains(t.v) {
-			err = s.nodeRangeErr(t.v)
-		}
-		if err == nil && req.Op == OpCodeRoute {
-			t.faults = make(map[hhc.Node]bool, len(req.Faults))
-			for _, f := range req.Faults {
-				if !s.g.Contains(f) {
-					err = s.nodeRangeErr(f)
-					break
-				}
-				t.faults[f] = true
+		t.batch = make([]BatchItemV2, len(req.Pairs))
+		for i, pair := range req.Pairs {
+			t.batch[i].U, t.batch[i].V = pair.U, pair.V
+			if len(req.pairErrs) > 0 {
+				t.batch[i].Err = req.pairErrs[i]
 			}
 		}
-	case OpCodeBatch:
-		if len(req.Pairs) == 0 {
-			err = errors.New("pathsvc: batch with no pairs")
-		} else if len(req.Pairs) > s.cfg.MaxBatch {
-			err = fmt.Errorf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.MaxBatch)
-		} else {
-			t.nodePairs = append(t.nodePairs, req.Pairs...)
-		}
 	}
-	if err != nil {
-		s.failV2(pc, req.ID, req.Op, rid, tr, err.Error())
-		return
-	}
-	if tr != nil {
-		// Attribute formatting only when a tracer is recording: rendering
-		// node addresses costs allocations the hot path must not pay.
-		switch req.Op {
-		case OpCodePaths, OpCodeRoute:
-			tr.setAttr("u", hhc.FormatNodeWire(t.u))
-			tr.setAttr("v", hhc.FormatNodeWire(t.v))
-		case OpCodeBatch:
-			tr.setAttr("pairs", fmt.Sprint(len(t.nodePairs)))
-		}
-	}
+	tr.setQuery(req.op, t.u, t.v, len(t.batch))
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutNS > 0 {
-		// v2 carries the timeout at nanosecond resolution; no millisecond
-		// rounding on this protocol.
 		timeout = time.Duration(req.TimeoutNS)
 	}
 	t.deadline = start.Add(timeout)
 	s.admit(t)
-}
-
-// nodeRangeErr renders the v2 analogue of hhc's out-of-range parse error
-// for addresses that arrived in binary form.
-func (s *Server) nodeRangeErr(u hhc.Node) error {
-	return fmt.Errorf("pathsvc: node %s out of range for m=%d", s.g.FormatNode(u), s.g.M())
 }
 
 // admit routes one validated request: in cluster mode, path/route queries
@@ -873,7 +815,7 @@ func (s *Server) admit(t *task) {
 	s.admitLocal(t)
 }
 
-// admitLocal runs the protocol-independent tail of dispatch: the degrade
+// admitLocal runs the local tail of the pipeline: the degrade
 // decision, in-flight coalescing of identical path queries, and admission
 // control. It runs on the connection's reader goroutine (or a forward
 // goroutine falling back after a peer failure), so AdmitBlock backpressure
@@ -924,9 +866,9 @@ func (s *Server) admitLocal(t *task) {
 	// AdmitReject: shed now, with a back-off hint.
 	s.counters.Shed.Inc()
 	s.deliverAll(t, outcome{
-		code:    CodeOverload,
-		errMsg:  ErrOverload.Error(),
-		retryMS: s.cfg.RetryAfter.Milliseconds(),
+		code:       CodeOverload,
+		errMsg:     ErrOverload.Error(),
+		retryAfter: s.cfg.RetryAfter,
 	})
 }
 
@@ -960,7 +902,7 @@ func (s *Server) forward(t *task) {
 
 // runForward executes one peer hop: the query goes out as a v2 frame with
 // the hop-guard bit set and MaxPaths 0 (the full container comes back, and
-// deliver applies this requester's own width, degrade, and deadline policy
+// respond applies this requester's own width, degrade, and deadline policy
 // locally). Transport failures and an overloaded or draining owner
 // downgrade to a local answer; any other owner verdict is this query's
 // answer and is relayed as-is.
@@ -1029,24 +971,6 @@ func (s *Server) fallbackLocal(t *task) {
 	t.pc.pending.Done()
 }
 
-// fail answers a request that never reached the queue.
-func (s *Server) fail(pc *serverConn, req Request, rid string, tr *reqTrace, msg string) {
-	s.counters.Failed.Inc()
-	s.logResponse(pc.remote, req.Op, rid, CodeBadRequest, msg)
-	pc.send(&Response{Ver: ProtocolVersion, ID: req.ID, RID: rid, Op: req.Op,
-		Code: CodeBadRequest, Err: msg})
-	tr.finish(CodeBadRequest)
-}
-
-// failV2 answers a binary request that never reached the queue.
-func (s *Server) failV2(pc *serverConn, id uint64, op uint8, rid string, tr *reqTrace, msg string) {
-	s.counters.Failed.Inc()
-	name, _ := opNameOf(op)
-	s.logResponse(pc.remote, name, rid, CodeBadRequest, msg)
-	pc.sendV2(&ResponseV2{ID: id, RID: rid, Op: op, Code: StatusBadRequest, Err: msg})
-	tr.finish(CodeBadRequest)
-}
-
 // worker executes queued tasks until the queue closes.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
@@ -1077,11 +1001,7 @@ func (s *Server) process(t *task) {
 		case OpRoute:
 			out = s.doRoute(t)
 		case OpBatch:
-			if t.proto == ProtocolV2 {
-				out = s.doBatchV2(t)
-			} else {
-				out = s.doBatch(t)
-			}
+			out = s.doBatch(t)
 		}
 		out.execNS = int64(time.Since(execStart))
 		s.met.observeExec(time.Duration(out.execNS), t.rid)
@@ -1091,7 +1011,7 @@ func (s *Server) process(t *task) {
 }
 
 // doPaths constructs (or fetches) the full-width container; truncation is
-// applied per recipient in deliver.
+// applied per recipient in respond.
 func (s *Server) doPaths(t *task) outcome {
 	paths, err := s.cache.Paths(t.u, t.v, core.Options{})
 	if err != nil {
@@ -1134,45 +1054,38 @@ const (
 // doBatch serves every pair through the cache, checking the deadline
 // between items so a huge batch cannot outlive its budget, and the encoded
 // size so the response is refused with a typed error — rather than
-// silently undeliverable — when it cannot fit one reply frame.
+// silently undeliverable — when it cannot fit one reply frame. Answers
+// stay node-native (the encoder renders them); pairs the edge could not
+// decode keep their error.
 func (s *Server) doBatch(t *task) outcome {
 	sizeBudget := s.cfg.MaxFrame - batchEnvelopeBytes
 	size := 0
 	nonOwned := false
-	results := make([]BatchItem, 0, len(t.pairs))
-	for i, pair := range t.pairs {
+	for i := range t.batch {
 		if time.Now().After(t.deadline) {
 			return outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()}
 		}
-		item := BatchItem{U: pair[0], V: pair[1]}
-		u, err := s.g.ParseNode(pair[0])
-		if err == nil {
-			var v hhc.Node
-			if v, err = s.g.ParseNode(pair[1]); err == nil {
-				if s.cfg.Router != nil && !s.cfg.Router.Owns(u, v) {
-					nonOwned = true
-				}
-				var paths [][]hhc.Node
-				if paths, err = s.cache.Paths(u, v, core.Options{}); err == nil {
-					item.Paths = s.formatPaths(paths, len(paths))
-				}
+		item := &t.batch[i]
+		if item.Err == "" {
+			if s.cfg.Router != nil && !s.cfg.Router.Owns(item.U, item.V) {
+				nonOwned = true
+			}
+			paths, err := s.cache.Paths(item.U, item.V, core.Options{})
+			if err != nil {
+				item.Err = err.Error()
+			} else {
+				item.Paths = paths
 			}
 		}
-		if err != nil {
-			item.Err = err.Error()
-		}
-		if enc, jerr := json.Marshal(item); jerr == nil {
-			size += len(enc) + 1 // +1 for the separating comma
-		}
+		size += s.batchItemSize(&t.pendingReq, i, item)
 		if size > sizeBudget {
 			return outcome{code: CodeBadRequest, errMsg: fmt.Sprintf(
 				"pathsvc: batch response exceeds the %d-byte frame limit at pair %d of %d; split the batch",
-				s.cfg.MaxFrame, i+1, len(t.pairs))}
+				s.cfg.MaxFrame, i+1, len(t.batch))}
 		}
-		results = append(results, item)
 	}
 	s.noteBatchLocal(t, nonOwned)
-	return outcome{results: results}
+	return outcome{results: t.batch}
 }
 
 // noteBatchLocal counts a batch that was answered locally even though it
@@ -1186,50 +1099,6 @@ func (s *Server) noteBatchLocal(t *task, nonOwned bool) {
 	}
 }
 
-// doBatchV2 serves a binary batch: per-pair containers kept node-native
-// (the encoder packs them without any per-node formatting), the deadline
-// checked between items, and the exact v2 encoded size budgeted against
-// the frame limit so an unfittable reply is refused with a typed error
-// rather than silently undeliverable.
-func (s *Server) doBatchV2(t *task) outcome {
-	sizeBudget := s.cfg.MaxFrame - batchEnvelopeBytes
-	size := 0
-	nonOwned := false
-	results := make([]BatchItemV2, 0, len(t.nodePairs))
-	for i, pair := range t.nodePairs {
-		if time.Now().After(t.deadline) {
-			return outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()}
-		}
-		item := BatchItemV2{U: pair.U, V: pair.V}
-		var err error
-		if !s.g.Contains(pair.U) {
-			err = s.nodeRangeErr(pair.U)
-		} else if !s.g.Contains(pair.V) {
-			err = s.nodeRangeErr(pair.V)
-		} else {
-			if s.cfg.Router != nil && !s.cfg.Router.Owns(pair.U, pair.V) {
-				nonOwned = true
-			}
-			var paths [][]hhc.Node
-			if paths, err = s.cache.Paths(pair.U, pair.V, core.Options{}); err == nil {
-				item.Paths = paths
-			}
-		}
-		if err != nil {
-			item.Err = err.Error()
-		}
-		size += batchItemSizeV2(&item)
-		if size > sizeBudget {
-			return outcome{code: CodeBadRequest, errMsg: fmt.Sprintf(
-				"pathsvc: batch response exceeds the %d-byte frame limit at pair %d of %d; split the batch",
-				s.cfg.MaxFrame, i+1, len(t.nodePairs))}
-		}
-		results = append(results, item)
-	}
-	s.noteBatchLocal(t, nonOwned)
-	return outcome{resultsV2: results}
-}
-
 // deliverAll answers the leader and, for coalesced queries, every waiter
 // that piggybacked on it. The in-flight entry is removed first so late
 // duplicates start a fresh construction instead of attaching to a
@@ -1240,154 +1109,182 @@ func (s *Server) deliverAll(t *task, out outcome) {
 		fl := s.inflight[t.key]
 		delete(s.inflight, t.key)
 		s.inflightMu.Unlock()
-		s.deliver(t.pendingReq, out)
+		s.respond(t.pendingReq, out)
 		for _, w := range fl.waiters {
-			s.deliver(w, out)
+			s.respond(w, out)
 		}
 		return
 	}
-	s.deliver(t.pendingReq, out)
+	s.respond(t.pendingReq, out)
 }
 
-// deliver renders one recipient's response in its own wire version: its
-// own deadline check, its own width truncation, its own counters and
-// latency sample.
-func (s *Server) deliver(p pendingReq, out outcome) {
+// respond answers one recipient: its own deadline check, its own width
+// truncation, its own counters and latency sample, then the encoder of
+// the wire version the request arrived in. out is the recipient's own
+// copy; the paths it shares with other recipients are only ever re-sliced,
+// never written.
+//
+//hhc:hotpath
+func (s *Server) respond(p pendingReq, out outcome) {
+	defer p.pc.pending.Done()
+	if out.code == CodeOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
+		// The shared construction finished, but after this requester's own
+		// deadline: a stale answer is still a missed deadline.
+		out = outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error(), execNS: out.execNS}
+	}
+	switch out.code {
+	case CodeOK:
+		switch p.op {
+		case OpPaths:
+			out.full = len(out.paths)
+			k := out.full
+			if p.maxPaths > 0 && p.maxPaths < k {
+				k = p.maxPaths
+			}
+			if p.degraded && s.cfg.DegradeWidth < k {
+				k = s.cfg.DegradeWidth
+				out.degraded = true
+				s.counters.Degraded.Inc()
+			}
+			out.paths = out.paths[:k]
+			out.width = k
+			p.tr.setWidth(k)
+		case OpRoute:
+			out.width, out.full = len(out.paths), s.g.M()+1
+		case OpInfo:
+			out.width, out.full = s.g.M()+1, s.g.M()+1
+		}
+		s.counters.Completed.Inc()
+	case CodeDeadline:
+		s.counters.Deadline.Inc()
+	case CodeOverload, CodeShutdown:
+		// Shed/refused work is already counted at its decision site.
+	default:
+		s.counters.Failed.Inc()
+	}
+	if out.code != CodeOK {
+		s.logResponse(p.pc.remote, p.op, p.rid, out.code, out.errMsg)
+	}
+	p.tr.startEncode()
+	bufp := frameBufPool.Get().(*[]byte)
+	buf := appendFramePrefix(*bufp)
 	if p.proto == ProtocolV2 {
-		s.deliverV2(p, out)
-		return
+		buf = s.encodeV2(buf, &p, &out)
+	} else {
+		buf = s.encodeV1(buf, &p, &out)
 	}
-	defer p.pc.pending.Done()
+	p.pc.write(buf)
+	*bufp = buf[:0]
+	frameBufPool.Put(bufp)
+	p.tr.endEncode()
+	p.tr.finish(out.code)
+	s.met.observeRequest(time.Since(p.start), p.rid)
+}
+
+// encodeV2 appends the binary frame payload answering p. The paths are
+// shared read-only (out.paths aliases the cached container): the encoder
+// walks them exactly once on this goroutine, with no defensive copy and
+// no per-node formatting — the bulk of the v2 serve path's allocation win.
+//
+//hhc:hotpath
+func (s *Server) encodeV2(buf []byte, p *pendingReq, out *outcome) []byte {
+	op, _ := opCodeOf(p.op)
+	resp := ResponseV2{ID: p.id, RID: p.rid, Op: op, Code: statusOf(out.code), Err: out.errMsg,
+		QueueNS: p.queueNS, ExecNS: out.execNS, RetryAfterNS: int64(out.retryAfter),
+		Coalesced: p.coalesced, Degraded: out.degraded, Width: out.width, Full: out.full,
+		Paths: out.paths, Results: out.results}
+	if p.op == OpInfo {
+		resp.M = s.g.M()
+	}
+	start := len(buf)
+	buf = AppendResponseV2(buf, &resp)
+	if len(buf)-start > p.pc.maxSend {
+		// The answer outgrew the frame limit. The peer is alive and blocked
+		// on it, so silence would hang it forever: substitute a small typed
+		// error (write closes the connection if even that cannot be framed).
+		small := ResponseV2{ID: p.id, RID: p.rid, Op: op, Code: StatusInternal,
+			Err: frameLimitErrV2(p.pc.maxSend)}
+		buf = AppendResponseV2(buf[:start], &small)
+	}
+	return buf
+}
+
+func frameLimitErrV2(max int) string {
+	return fmt.Sprintf("%s: response exceeds %d bytes", ErrFrameTooLarge.Error(), max)
+}
+
+// encodeV1 appends the JSON frame payload answering p: the only server
+// code that renders nodes as text, and the only one that sees the
+// client's batch pair text again (echoed verbatim per item).
+func (s *Server) encodeV1(buf []byte, p *pendingReq, out *outcome) []byte {
+	format := func(paths [][]hhc.Node) [][]string {
+		if len(paths) == 0 {
+			return nil
+		}
+		text := make([][]string, len(paths))
+		for i, path := range paths {
+			text[i] = make([]string, len(path))
+			for j, n := range path {
+				text[i][j] = s.g.FormatNode(n)
+			}
+		}
+		return text
+	}
 	resp := &Response{Ver: ProtocolVersion, ID: p.id, RID: p.rid, Op: p.op,
-		QueueNS: p.queueNS, ExecNS: out.execNS, Coalesced: p.coalesced}
-	code := out.code
-	if code == CodeOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		// The shared construction finished, but after this requester's own
-		// deadline: a stale answer is still a missed deadline.
-		code, out = CodeDeadline, outcome{errMsg: ErrDeadlineExceeded.Error()}
-	}
-	switch code {
-	case CodeOK:
-		switch p.op {
-		case OpPaths:
-			full := len(out.paths)
-			want := full
-			if p.maxPaths > 0 && p.maxPaths < want {
-				want = p.maxPaths
-			}
-			k := want
-			if p.degraded && s.cfg.DegradeWidth < k {
-				k = s.cfg.DegradeWidth
-				resp.Degraded = true
-				s.counters.Degraded.Inc()
-			}
-			resp.Paths = s.formatPaths(out.paths, k)
-			resp.Width, resp.Full = k, full
-			p.tr.setAttr("width", fmt.Sprint(k))
-		case OpRoute:
-			resp.Paths = s.formatPaths(out.paths, len(out.paths))
-			resp.Width, resp.Full = len(out.paths), s.g.M()+1
-		case OpBatch:
-			resp.Results = out.results
+		Code: out.code, Err: out.errMsg, RetryAfterMS: wireTimeoutMS(out.retryAfter),
+		QueueNS: p.queueNS, ExecNS: out.execNS, Coalesced: p.coalesced,
+		Degraded: out.degraded, Width: out.width, Full: out.full}
+	resp.Paths = format(out.paths)
+	if out.results != nil {
+		resp.Results = make([]BatchItem, len(out.results))
+		for i, item := range out.results {
+			resp.Results[i] = BatchItem{U: p.echo[i][0], V: p.echo[i][1], Paths: format(item.Paths), Err: item.Err}
 		}
-		s.counters.Completed.Inc()
-	case CodeDeadline:
-		s.counters.Deadline.Inc()
-		resp.Code, resp.Err = code, out.errMsg
-	case CodeOverload, CodeShutdown:
-		// Shed/refused work is already counted at its decision site.
-		resp.Code, resp.Err = code, out.errMsg
-		resp.RetryAfterMS = out.retryMS
-	default:
-		s.counters.Failed.Inc()
-		resp.Code, resp.Err = code, out.errMsg
 	}
-	if code != CodeOK {
-		s.logResponse(p.pc.remote, p.op, p.rid, code, resp.Err)
+	if p.op == OpInfo {
+		resp.M, resp.VerMax = s.g.M(), MaxProtocolVersion
 	}
-	p.tr.startEncode()
-	p.pc.send(resp)
-	p.tr.endEncode()
-	p.tr.finish(code)
-	s.met.observeRequest(time.Since(p.start), p.rid)
+	payload, _ := json.Marshal(resp)
+	if len(payload) > p.pc.maxSend {
+		// See encodeV2: the outgrown answer is replaced by a small typed error.
+		payload, _ = json.Marshal(&Response{Ver: ProtocolVersion, ID: p.id, Op: p.op, Code: CodeInternal,
+			Err: fmt.Sprintf("%v: %d > %d bytes", ErrFrameTooLarge, len(payload), p.pc.maxSend)})
+	}
+	return append(buf, payload...)
 }
 
-// deliverV2 renders one binary-protocol recipient's response. The OK path
-// shares out.paths read-only (resp.Paths = out.paths[:k]): the encoder
-// walks it exactly once on this goroutine, so unlike v1's formatPaths
-// there is no defensive copy and no per-node formatting — the bulk of the
-// v2 serve path's allocation win.
-func (s *Server) deliverV2(p pendingReq, out outcome) {
-	defer p.pc.pending.Done()
-	opc, _ := opCodeOf(p.op)
-	resp := ResponseV2{ID: p.id, RID: p.rid, Op: opc,
-		QueueNS: p.queueNS, ExecNS: out.execNS, Coalesced: p.coalesced}
-	code := out.code
-	if code == CodeOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		// The shared construction finished, but after this requester's own
-		// deadline: a stale answer is still a missed deadline.
-		code, out = CodeDeadline, outcome{errMsg: ErrDeadlineExceeded.Error()}
+// batchItemSize is the footprint batch item i adds to p's answer in p's
+// own encoding, budgeted by doBatch against the frame limit. The v1 size
+// is exact without rendering the paths twice: the echoed text and error
+// go through the JSON encoder, and every formatted node is a quoted
+// "0x…:…" string that never needs escaping.
+func (s *Server) batchItemSize(p *pendingReq, i int, item *BatchItemV2) int {
+	if p.proto == ProtocolV2 {
+		return batchItemSizeV2(item)
 	}
-	switch code {
-	case CodeOK:
-		switch p.op {
-		case OpPaths:
-			full := len(out.paths)
-			want := full
-			if p.maxPaths > 0 && p.maxPaths < want {
-				want = p.maxPaths
+	enc, _ := json.Marshal(BatchItem{U: p.echo[i][0], V: p.echo[i][1], Err: item.Err})
+	size := len(enc) + 1 // +1 for the separating comma
+	if len(item.Paths) > 0 {
+		size += len(`,"paths":[]`) + len(item.Paths) - 1
+		for _, path := range item.Paths {
+			size += 2 + len(path) - 1
+			for _, n := range path {
+				size += 2 + nodeTextLen(n)
 			}
-			k := want
-			if p.degraded && s.cfg.DegradeWidth < k {
-				k = s.cfg.DegradeWidth
-				resp.Degraded = true
-				s.counters.Degraded.Inc()
-			}
-			resp.Paths = out.paths[:k]
-			resp.Width, resp.Full = k, full
-			if p.tr != nil {
-				p.tr.setAttr("width", fmt.Sprint(k))
-			}
-		case OpRoute:
-			resp.Paths = out.paths
-			resp.Width, resp.Full = len(out.paths), s.g.M()+1
-		case OpBatch:
-			resp.Results = out.resultsV2
 		}
-		s.counters.Completed.Inc()
-	case CodeDeadline:
-		s.counters.Deadline.Inc()
-		resp.Code, resp.Err = StatusDeadline, out.errMsg
-	case CodeOverload, CodeShutdown:
-		// Shed/refused work is already counted at its decision site.
-		resp.Code, resp.Err = statusOf(code), out.errMsg
-		resp.RetryAfterNS = out.retryMS * int64(time.Millisecond)
-	default:
-		s.counters.Failed.Inc()
-		resp.Code, resp.Err = statusOf(code), out.errMsg
 	}
-	if code != CodeOK {
-		s.logResponse(p.pc.remote, p.op, p.rid, code, resp.Err)
-	}
-	p.tr.startEncode()
-	p.pc.sendV2(&resp)
-	p.tr.endEncode()
-	p.tr.finish(code)
-	s.met.observeRequest(time.Since(p.start), p.rid)
+	return size
 }
 
-// formatPaths renders the first k container paths in wire form.
-func (s *Server) formatPaths(paths [][]hhc.Node, k int) [][]string {
-	if k > len(paths) {
-		k = len(paths)
+// nodeTextLen is len(hhc.FormatNodeWire(u)) without the formatting: "0x",
+// the hex digits of X, ':', and the decimal digits of Y.
+func nodeTextLen(u hhc.Node) int {
+	n := len("0x:") + (bits.Len64(u.X|1)+3)/4 + 1
+	if u.Y >= 10 {
+		n++
 	}
-	out := make([][]string, k)
-	for i := 0; i < k; i++ {
-		p := make([]string, len(paths[i]))
-		for j, n := range paths[i] {
-			p[j] = s.g.FormatNode(n)
-		}
-		out[i] = p
+	if u.Y >= 100 {
+		n++
 	}
-	return out
+	return n
 }

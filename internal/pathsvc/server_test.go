@@ -2,6 +2,7 @@ package pathsvc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hhc"
 	"repro/internal/obs"
 )
@@ -311,39 +313,72 @@ func TestCoalesceInflight(t *testing.T) {
 }
 
 // TestShedOverload: once the queue is full, reject-mode admission answers
-// CodeOverload with a retry hint instead of queueing unboundedly.
+// CodeOverload with a retry hint instead of queueing unboundedly. The hint
+// keeps full resolution on v2 and rounds up to whole milliseconds on v1,
+// never down to 0 (which would read as "no hint").
 func TestShedOverload(t *testing.T) {
-	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 1, Admission: AdmitReject,
-		RetryAfter: 75 * time.Millisecond})
-	release := make(chan struct{})
-	srv.stallForTest = func() { <-release }
-	defer close(release)
+	cases := []struct {
+		proto      int
+		retryAfter time.Duration
+		want       time.Duration
+	}{
+		{ProtocolVersion, 75 * time.Millisecond, 75 * time.Millisecond},
+		{ProtocolV2, 75 * time.Millisecond, 75 * time.Millisecond},
+		{ProtocolVersion, 300 * time.Microsecond, time.Millisecond},
+		{ProtocolV2, 300 * time.Microsecond, 300 * time.Microsecond},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("v%d/%v", tc.proto, tc.retryAfter), func(t *testing.T) {
+			srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 1, Admission: AdmitReject,
+				RetryAfter: tc.retryAfter})
+			release := make(chan struct{})
+			srv.stallForTest = func() { <-release }
+			defer close(release)
 
-	// Occupy the worker, fill the queue, then overflow it. Distinct pairs
-	// keep coalescing out of the picture.
-	bg := []struct{ u, v string }{{"0x1:0", "0x2:3"}, {"0x3:1", "0x4:4"}}
-	for _, p := range bg {
-		c := dial(t, addr)
-		go func(u, v string) { _, _ = c.Paths(u, v, 0, time.Minute) }(p.u, p.v)
-	}
-	waitFor(t, "worker busy and queue full", func() bool {
-		return srv.activeWorkers.Load() == 1 && len(srv.queue) == 1
-	})
+			// Occupy the worker, fill the queue, then overflow it, one step at
+			// a time: a second request racing the worker's pickup of the first
+			// would find the queue full and be shed. Distinct pairs keep
+			// coalescing out of the picture.
+			bg := []struct{ u, v string }{{"0x1:0", "0x2:3"}, {"0x3:1", "0x4:4"}}
+			for i, p := range bg {
+				c := dial(t, addr)
+				go func(u, v string) { _, _ = c.Paths(u, v, 0, time.Minute) }(p.u, p.v)
+				waitFor(t, "worker busy, queue filling", func() bool {
+					return srv.activeWorkers.Load() == 1 && len(srv.queue) == i
+				})
+			}
 
-	c := dial(t, addr)
-	resp, err := c.Paths("0x5:2", "0x6:5", 0, 0)
-	if !errors.Is(err, ErrOverload) {
-		t.Fatalf("got %v, want ErrOverload", err)
-	}
-	var srvErr *ServerError
-	if !errors.As(err, &srvErr) || srvErr.RetryAfter != 75*time.Millisecond {
-		t.Fatalf("retry-after hint = %v, want 75ms", srvErr.RetryAfter)
-	}
-	if resp == nil || resp.Code != CodeOverload {
-		t.Fatalf("response %+v, want code overload", resp)
-	}
-	if srv.Counters().Shed == 0 {
-		t.Fatal("shed counter not incremented")
+			c, err := DialWith(addr, DialOptions{Proto: tc.proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var code string
+			if tc.proto == ProtocolV2 {
+				var resp ResponseV2
+				err = c.PathsV2(hhc.Node{X: 0x5, Y: 2}, hhc.Node{X: 0x6, Y: 5}, 0, 0, &resp)
+				code = resp.CodeString()
+			} else {
+				var resp *Response
+				resp, err = c.Paths("0x5:2", "0x6:5", 0, 0)
+				if resp != nil {
+					code = resp.Code
+				}
+			}
+			if !errors.Is(err, ErrOverload) {
+				t.Fatalf("got %v, want ErrOverload", err)
+			}
+			var srvErr *ServerError
+			if !errors.As(err, &srvErr) || srvErr.RetryAfter != tc.want {
+				t.Fatalf("retry-after hint = %v, want %v", srvErr.RetryAfter, tc.want)
+			}
+			if code != CodeOverload {
+				t.Fatalf("response code %q, want overload", code)
+			}
+			if srv.Counters().Shed == 0 {
+				t.Fatal("shed counter not incremented")
+			}
+		})
 	}
 }
 
@@ -530,6 +565,48 @@ func TestOversizeBatchTyped(t *testing.T) {
 	// The refusal is an answer, not a connection failure.
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after oversize batch: %v", err)
+	}
+}
+
+// TestBatchItemSizeV1Exact: the v1 batch budget counts each item's JSON
+// footprint without rendering its paths, and must still match the bytes
+// the v1 encoder produces — otherwise the frame-limit refusal would cut a
+// batch at a different pair than the encoded reply actually overflows.
+func TestBatchItemSizeV1Exact(t *testing.T) {
+	srv, err := New(Config{M: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := srv.g
+	paths, err := srv.cache.Paths(hhc.Node{X: 0x0, Y: 0}, hhc.Node{X: 0xff, Y: 7}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []BatchItemV2{
+		{Paths: paths},
+		{Paths: paths[:1]},
+		{Paths: [][]hhc.Node{{{X: 0, Y: 0}, {X: 1 << 63, Y: 255}, {X: 0x10, Y: 99}, {X: 0xf, Y: 100}}}},
+		{Err: `hhc: node "bogus": want x:y`},
+		{Err: "pathsvc: node 0x100:0 out of range (need x < 2^8) & more"},
+	}
+	echo := [][2]string{{"0x0:0", "0xff:7"}, {"0x00:0", "255:7"}, {"a\"b", "\u2028<é>"}, {"bogus", "0xff:7"}, {"\x01", ""}}
+	p := &pendingReq{proto: ProtocolVersion, echo: echo}
+	for i := range items {
+		item := BatchItem{U: echo[i][0], V: echo[i][1], Err: items[i].Err}
+		for _, path := range items[i].Paths {
+			text := make([]string, len(path))
+			for j, n := range path {
+				text[j] = g.FormatNode(n)
+			}
+			item.Paths = append(item.Paths, text)
+		}
+		enc, err := json.Marshal(item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := srv.batchItemSize(p, i, &items[i]), len(enc)+1; got != want {
+			t.Errorf("item %d: sized %d bytes, encodes to %d (+1 comma): %s", i, got, want, enc)
+		}
 	}
 }
 
