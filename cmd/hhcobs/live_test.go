@@ -22,10 +22,9 @@ func debugServer(t *testing.T) *httptest.Server {
 	reg.Gauge("pathsvc_open_conns", "").Set(4)
 	reg.Gauge(`pathsvc_request_seconds_window{q="p99"}`, "").Set(0.012)
 
-	tr := obs.NewTracer(16)
-	rt := obs.NewRequestTracer(4)
-	obs.RegisterSelf(reg, tr, rt)
-	q := rt.StartRequest("paths", "req-slow")
+	tr := obs.NewTracer(4)
+	obs.RegisterSelf(reg, tr, true)
+	q := tr.StartRequest("paths", "req-slow")
 	time.Sleep(time.Millisecond)
 	q.Finish("")
 
@@ -37,26 +36,28 @@ func debugServer(t *testing.T) *httptest.Server {
 
 	mux := obs.Mux(reg)
 	mux.Handle("/debug/series", ring.Handler())
-	mux.Handle("/debug/requests", rt.Handler())
+	mux.Handle("/debug/requests", tr.Handler())
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
 }
 
+// liveOnce renders one -live frame of spec.
+func liveOnce(spec string, timeout time.Duration) (string, error) {
+	var out bytes.Buffer
+	err := runLive(&out, nil, liveOpts{spec: spec, once: true,
+		refresh: time.Second, top: 5, timeout: timeout})
+	return out.String(), err
+}
+
 func TestOnceRendersDashboard(t *testing.T) {
 	srv := debugServer(t)
-	var out bytes.Buffer
-	err := run(&out, nil, topOpts{
-		addr: strings.TrimPrefix(srv.URL, "http://"),
-		once: true, refresh: time.Second, slowN: 5, rates: 8,
-		timeout: 5 * time.Second,
-	})
+	body, err := liveOnce(strings.TrimPrefix(srv.URL, "http://"), 5*time.Second)
 	if err != nil {
-		t.Fatalf("run -once: %v", err)
+		t.Fatalf("-live -once: %v", err)
 	}
-	body := out.String()
 	for _, want := range []string{
-		"hhctop",
+		"hhcobs -live",
 		"service   qps ",
 		"shed 0/s",
 		"queue     depth 3/64",
@@ -89,28 +90,20 @@ func TestServerAgnostic(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	var out bytes.Buffer
-	err := run(&out, nil, topOpts{
-		addr: strings.TrimPrefix(srv.URL, "http://"),
-		once: true, refresh: time.Second, slowN: 5, rates: 8,
-		timeout: 5 * time.Second,
-	})
+	body, err := liveOnce(strings.TrimPrefix(srv.URL, "http://"), 5*time.Second)
 	if err != nil {
-		t.Fatalf("run -once: %v", err)
+		t.Fatalf("-live -once: %v", err)
 	}
-	if strings.Contains(out.String(), "service   qps") {
-		t.Errorf("service section rendered without pathsvc metrics:\n%s", out.String())
+	if strings.Contains(body, "service   qps") {
+		t.Errorf("service section rendered without pathsvc metrics:\n%s", body)
 	}
-	if !strings.Contains(out.String(), "sim_steps_total") {
-		t.Errorf("generic rates missing:\n%s", out.String())
+	if !strings.Contains(body, "sim_steps_total") {
+		t.Errorf("generic rates missing:\n%s", body)
 	}
 }
 
 func TestDeadServerErrors(t *testing.T) {
-	err := run(&bytes.Buffer{}, nil, topOpts{
-		addr: "127.0.0.1:1", once: true, refresh: time.Second,
-		timeout: 500 * time.Millisecond,
-	})
+	_, err := liveOnce("127.0.0.1:1", 500*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "/debug/series") {
 		t.Fatalf("got %v, want an actionable poll error", err)
 	}
@@ -132,27 +125,19 @@ malformed line without number trailing
 	}
 }
 
-// TestFleetPanel renders the -cluster multi-peer table against two fake
+// TestFleetPanel renders the multi-address fleet table against two fake
 // peers plus one dead address: live rows carry qps and latency, the dead
 // peer stays visible as unreachable.
 func TestFleetPanel(t *testing.T) {
-	a := debugServer(t)
-	b := debugServer(t)
-	addrA := strings.TrimPrefix(a.URL, "http://")
-	addrB := strings.TrimPrefix(b.URL, "http://")
+	addrA := strings.TrimPrefix(debugServer(t).URL, "http://")
+	addrB := strings.TrimPrefix(debugServer(t).URL, "http://")
 	dead := "127.0.0.1:1"
-	var out bytes.Buffer
-	err := run(&out, nil, topOpts{
-		cluster: addrA + "," + addrB + "," + dead,
-		once:    true, refresh: time.Second, slowN: 5, rates: 8,
-		timeout: 2 * time.Second,
-	})
+	body, err := liveOnce(addrA+","+addrB+","+dead, 2*time.Second)
 	if err != nil {
-		t.Fatalf("run -cluster -once: %v", err)
+		t.Fatalf("-live fleet -once: %v", err)
 	}
-	body := out.String()
 	for _, want := range []string{
-		"hhctop cluster", "3 peers",
+		"hhcobs -live fleet", "3 peers",
 		"peer", "qps", "fwd-out/s",
 		addrA, addrB,
 	} {
@@ -170,10 +155,16 @@ func TestFleetPanel(t *testing.T) {
 
 // TestFleetPanelBadSpec pins the flag validation.
 func TestFleetPanelBadSpec(t *testing.T) {
-	var out bytes.Buffer
-	err := run(&out, nil, topOpts{cluster: "a:1,,b:2", once: true,
-		refresh: time.Second, timeout: time.Second})
-	if err == nil {
+	if _, err := liveOnce("a:1,,b:2", time.Second); err == nil {
 		t.Fatal("empty peer entry accepted")
+	}
+	var out bytes.Buffer
+	if err := runLive(&out, []string{"x.json"}, liveOpts{spec: "a:1", once: true,
+		refresh: time.Second, top: 5, timeout: time.Second}); err == nil {
+		t.Error("-live accepted positional files")
+	}
+	if err := runLive(&out, nil, liveOpts{spec: "a:1", once: true,
+		refresh: time.Second, top: 0, timeout: time.Second}); err == nil {
+		t.Error("-top 0 accepted")
 	}
 }

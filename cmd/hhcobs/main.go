@@ -1,7 +1,7 @@
-// Command hhcobs aggregates the observability artifacts the other tools
-// produce — -trace JSON Lines span streams and /debug/requests JSON dumps
-// — into a per-phase latency percentile table and the slowest request
-// span trees. It answers "where did the time go" offline, after a run.
+// Command hhcobs is the one reader of the telemetry the other tools
+// produce. Offline, it aggregates -trace JSON Lines span streams and
+// /debug/requests JSON dumps into a per-phase latency percentile table and
+// the slowest request span trees: "where did the time go", after a run.
 //
 // Usage:
 //
@@ -12,8 +12,9 @@
 // Input kinds are autodetected per file: a whole-file JSON object with the
 // flight-recorder snapshot shape, otherwise one span object per line.
 // Request trees dumped by the recorder are replayed through the same top-K
-// retention the live server uses; flat spans carrying a rid attribute (the
-// mirror stream) are regrouped into per-request trees by that id.
+// retention the live server uses; flat spans carrying a rid attribute (a
+// request tree as -trace streams it) are regrouped into per-request trees
+// by that id.
 //
 // Like hhclint, hhcobs takes positional arguments (the input files) and
 // has no observability flags of its own: it is a reporting tool, not a
@@ -28,10 +29,22 @@
 // decomposition next to the fleet-wide phase percentiles:
 //
 //	hhcobs -cluster 127.0.0.1:6061,127.0.0.1:6062,127.0.0.1:6063
+//
+// With -live, hhcobs is a terminal dashboard: it polls /metrics,
+// /debug/series and /debug/requests every -refresh period and redraws.
+// One address renders that server's pulse (request and shed rates,
+// windowed latency quantiles, queue pressure, the busiest counters, the
+// observability layer's own health, the -top slowest retained requests);
+// several addresses render the side-by-side fleet panel, where a dead
+// peer stays an "unreachable" row:
+//
+//	hhcobs -live 127.0.0.1:6060                  # refresh every 2s until ^C
+//	hhcobs -live 127.0.0.1:6060 -once            # one frame, no screen control (CI)
+//	hhcobs -live 127.0.0.1:6061,127.0.0.1:6062 -refresh 1s
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -52,18 +65,29 @@ func main() {
 	md := flag.Bool("md", false, "render the phase table as markdown")
 	clusterSpec := flag.String("cluster", "",
 		"comma-separated peer debug addresses (host:port,...) to scrape live and stitch cross-peer traces from")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-scrape HTTP timeout with -cluster")
+	live := flag.String("live", "",
+		"comma-separated debug addresses to watch live: one renders the server dashboard, several the fleet panel")
+	refresh := flag.Duration("refresh", 2*time.Second, "poll and redraw at this period with -live")
+	once := flag.Bool("once", false, "with -live, render a single frame without screen control and exit (for CI and piping)")
+	timeout := flag.Duration("timeout", 5*time.Second, "per-scrape HTTP timeout with -cluster or -live")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: hhcobs [-top k] [-md] <trace.jsonl | requests.json>...\n"+
-				"       hhcobs [-top k] [-md] -cluster host:port,host:port,...\n")
+				"       hhcobs [-top k] [-md] -cluster host:port,host:port,...\n"+
+				"       hhcobs [-top k] [-refresh d] [-once] -live host:port[,host:port,...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	var err error
-	if *clusterSpec != "" {
+	switch {
+	case *live != "" && *clusterSpec != "":
+		err = errors.New("-live and -cluster are separate views; pick one")
+	case *live != "":
+		err = runLive(os.Stdout, flag.Args(), liveOpts{
+			spec: *live, refresh: *refresh, once: *once, top: *top, timeout: *timeout})
+	case *clusterSpec != "":
 		err = runCluster(os.Stdout, flag.Args(), *clusterSpec, *top, *md, *timeout)
-	} else {
+	default:
 		err = run(os.Stdout, flag.Args(), *top, *md)
 	}
 	if err != nil {
@@ -123,13 +147,9 @@ func runCluster(w io.Writer, args []string, spec string, top int, md bool, timeo
 	if top < 1 {
 		return fmt.Errorf("-top %d out of range: must be positive", top)
 	}
-	var addrs []string
-	for _, p := range strings.Split(spec, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return fmt.Errorf("-cluster %q: empty peer entry", spec)
-		}
-		addrs = append(addrs, p)
+	addrs, err := splitAddrs("-cluster", spec)
+	if err != nil {
+		return err
 	}
 	client := &http.Client{Timeout: timeout}
 	peers := make([]peerScrape, 0, len(addrs))
@@ -172,7 +192,21 @@ func runCluster(w io.Writer, args []string, spec string, top int, md bool, timeo
 	return printStitched(w, obs.StitchTraces(byPeer), top)
 }
 
-func scrapeJSON(client *http.Client, url string, into any) error {
+// splitAddrs parses the comma-separated address list of the named flag.
+func splitAddrs(name, spec string) ([]string, error) {
+	var addrs []string
+	for _, p := range strings.Split(spec, ",") {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			return nil, fmt.Errorf("%s %q: empty peer entry", name, spec)
+		}
+		addrs = append(addrs, p)
+	}
+	return addrs, nil
+}
+
+// scrape GETs url and hands a 200 response body to read.
+func scrape(client *http.Client, url string, read func(io.Reader) error) error {
 	resp, err := client.Get(url)
 	if err != nil {
 		return err
@@ -181,7 +215,11 @@ func scrapeJSON(client *http.Client, url string, into any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %s", resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(into)
+	return read(resp.Body)
+}
+
+func scrapeJSON(client *http.Client, url string, into any) error {
+	return scrape(client, url, func(r io.Reader) error { return json.NewDecoder(r).Decode(into) })
 }
 
 // fleetTable is one row per scraped peer: totals from the flight recorder
@@ -223,16 +261,17 @@ func printStitched(w io.Writer, stitched []*obs.StitchedTrace, top int) error {
 			time.Duration(st.Root.Dur), time.Duration(st.ForwardNS),
 			time.Duration(st.RemoteQueueNS), time.Duration(st.RemoteExecNS),
 			time.Duration(st.WireNS()))
-		var walk func(ss []*obs.ReqSpan, indent string)
-		walk = func(ss []*obs.ReqSpan, indent string) {
-			for _, s := range ss {
-				fmt.Fprintf(w, "%s%s %s%s\n", indent, s.Name, fmtMS(s.Dur), fmtAttrs(s.Attrs))
-				walk(s.Children, indent+"  ")
-			}
-		}
-		walk(st.Root.Spans, "     ")
+		printTree(w, st.Root.Spans, "     ")
 	}
 	return nil
+}
+
+// printTree renders spans one per line, children indented under parents.
+func printTree(w io.Writer, spans []*obs.Span, indent string) {
+	for _, s := range spans {
+		fmt.Fprintf(w, "%s%s %s%s\n", indent, s.Name, fmtMS(s.Dur), fmtAttrs(s.Attrs))
+		printTree(w, s.Children, indent+"  ")
+	}
 }
 
 // parseFile reads one input and detects its kind: a whole-file flight
@@ -259,27 +298,9 @@ func parseFile(path string) ([]*obs.RequestTrace, []obs.Span, error) {
 			return dedupTraces(snap), nil, nil
 		}
 	}
-	var spans []obs.Span
-	sc := bufio.NewScanner(strings.NewReader(string(raw)))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var s obs.Span
-		if err := json.Unmarshal([]byte(text), &s); err != nil {
-			return nil, nil, fmt.Errorf("%s:%d: not a span line: %w", path, line, err)
-		}
-		if s.Name == "" {
-			return nil, nil, fmt.Errorf("%s:%d: span has no name", path, line)
-		}
-		spans = append(spans, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	spans, err := obs.ReadSpans(bytes.NewReader(raw))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s:%w", path, err)
 	}
 	return nil, spans, nil
 }
@@ -301,7 +322,7 @@ func dedupTraces(snap obs.RequestsSnapshot) []*obs.RequestTrace {
 	return out
 }
 
-// regroup reassembles per-request trees from the mirror stream: flat spans
+// regroup reassembles per-request trees from the -trace stream: flat spans
 // carrying a rid attribute, with a "request" span per request as the root.
 // Phase spans for a rid whose root never appeared (truncated file) still
 // form a tree, just without op/outcome.
@@ -326,7 +347,7 @@ func regroup(spans []obs.Span) []*obs.RequestTrace {
 		if rid == "" {
 			continue
 		}
-		if s.Name == "request" {
+		if s.Name == obs.PhaseRequest {
 			tr := get(rid)
 			tr.Op, tr.Start, tr.Dur, tr.Code = attrs["op"], s.Start, s.Dur, attrs["code"]
 			for _, a := range s.Attrs {
@@ -342,7 +363,7 @@ func regroup(spans []obs.Span) []*obs.RequestTrace {
 				kept = append(kept, a)
 			}
 		}
-		get(rid).Spans = append(get(rid).Spans, &obs.ReqSpan{
+		get(rid).Spans = append(get(rid).Spans, &obs.Span{
 			Name: s.Name, Start: s.Start, Dur: s.Dur, Attrs: kept,
 		})
 	}
@@ -361,19 +382,19 @@ func phaseSamples(traces []*obs.RequestTrace, spans []obs.Span) map[string][]flo
 	add := func(name string, durNS int64) {
 		out[name] = append(out[name], float64(durNS)/1e6)
 	}
-	var walk func(ss []*obs.ReqSpan)
-	walk = func(ss []*obs.ReqSpan) {
+	var walk func(ss []*obs.Span)
+	walk = func(ss []*obs.Span) {
 		for _, s := range ss {
 			add(s.Name, s.Dur)
 			walk(s.Children)
 		}
 	}
 	for _, tr := range traces {
-		add("request", tr.Dur)
+		add(obs.PhaseRequest, tr.Dur)
 		walk(tr.Spans)
 	}
 	for _, s := range spans {
-		// Mirror-stream spans were already counted through their regrouped
+		// Rid-tagged spans were already counted through their regrouped
 		// trees; counting them again would double every sample.
 		if hasAttr(s.Attrs, "rid") {
 			continue
@@ -423,28 +444,25 @@ func printSlowest(w io.Writer, traces []*obs.RequestTrace, top int) error {
 	if len(traces) == 0 {
 		return nil
 	}
-	rt := obs.NewRequestTracer(top)
+	rec := obs.NewTracer(top)
 	for _, tr := range traces {
-		rt.Record(tr)
+		rec.Record(tr)
 	}
 	fmt.Fprintf(w, "slowest requests (%d of %d)\n", min(top, len(traces)), len(traces))
-	for i, tr := range rt.Snapshot().Slowest {
-		outcome := "ok"
-		if tr.Code != "" {
-			outcome = tr.Code
-		}
+	for i, tr := range rec.Snapshot().Slowest {
 		fmt.Fprintf(w, "  %d. %s %s %s %s%s\n",
-			i+1, tr.ID, tr.Op, fmtMS(tr.Dur), outcome, fmtAttrs(tr.Attrs))
-		var walk func(ss []*obs.ReqSpan, indent string)
-		walk = func(ss []*obs.ReqSpan, indent string) {
-			for _, s := range ss {
-				fmt.Fprintf(w, "%s%s %s%s\n", indent, s.Name, fmtMS(s.Dur), fmtAttrs(s.Attrs))
-				walk(s.Children, indent+"  ")
-			}
-		}
-		walk(tr.Spans, "     ")
+			i+1, tr.ID, tr.Op, fmtMS(tr.Dur), outcome(tr), fmtAttrs(tr.Attrs))
+		printTree(w, tr.Spans, "     ")
 	}
 	return nil
+}
+
+// outcome names a finished request's result: its code, or "ok".
+func outcome(tr *obs.RequestTrace) string {
+	if tr.Code != "" {
+		return tr.Code
+	}
+	return "ok"
 }
 
 func fmtMS(ns int64) string {
@@ -461,11 +479,4 @@ func fmtAttrs(attrs []obs.Attr) string {
 	}
 	sort.Strings(parts)
 	return "  [" + strings.Join(parts, " ") + "]"
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -29,13 +29,13 @@ func writeFile(t *testing.T, name, content string) string {
 // /debug/requests?format=json would.
 func snapshotFile(t *testing.T) string {
 	t.Helper()
-	rt := obs.NewRequestTracer(4)
+	rt := obs.NewTracer(4)
 	rt.Record(&obs.RequestTrace{
 		ID: "r1", Op: "paths", Start: 1000, Dur: 4_000_000,
 		Attrs: []obs.Attr{obs.String("u", "0x0:0")},
-		Spans: []*obs.ReqSpan{
+		Spans: []*obs.Span{
 			{Name: "admission", Start: 1000, Dur: 10_000},
-			{Name: "exec", Start: 2000, Dur: 3_500_000, Children: []*obs.ReqSpan{
+			{Name: "exec", Start: 2000, Dur: 3_500_000, Children: []*obs.Span{
 				{Name: "realize", Start: 2100, Dur: 3_000_000},
 			}},
 		},
@@ -70,7 +70,7 @@ func TestSnapshotInput(t *testing.T) {
 	}
 }
 
-// jsonlFile is a mirror-stream excerpt: two requests' flattened spans plus
+// jsonlFile is a -trace stream excerpt: two requests' flattened spans plus
 // one construction span with no rid.
 func jsonlFile(t *testing.T) string {
 	t.Helper()
@@ -97,7 +97,7 @@ func TestJSONLInput(t *testing.T) {
 	// Regrouped by rid, ranked by duration, -top 1 keeps only m1; the
 	// overload outcome rides the request span's code attr.
 	if !strings.Contains(text, "1. m1 paths 5.000ms ok  [peer=unit]") {
-		t.Errorf("mirror spans not regrouped into m1:\n%s", text)
+		t.Errorf("rid-tagged spans not regrouped into m1:\n%s", text)
 	}
 	if strings.Contains(text, "\n  2. ") {
 		t.Errorf("-top 1 printed more than one tree:\n%s", text)
@@ -140,22 +140,20 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// TestEndToEndWithRecorder round-trips live instrumentation: a recorder
-// mirrors onto a flat tracer streaming JSONL, and hhcobs reads both that
-// stream and the recorder's own snapshot dump.
+// TestEndToEndWithRecorder round-trips live instrumentation: a tracer
+// records request trees and streams them as JSONL, and hhcobs reads both
+// that stream and the recorder's own snapshot dump.
 func TestEndToEndWithRecorder(t *testing.T) {
 	var stream bytes.Buffer
-	flat := obs.NewTracer(16)
-	flat.StreamTo(&stream)
-	rt := obs.NewRequestTracer(4)
-	rt.Mirror(flat)
+	rt := obs.NewTracer(4)
+	rt.StreamTo(&stream)
 	for i := 0; i < 3; i++ {
 		q := rt.StartRequest("paths", "", obs.String("peer", "e2e"))
 		sp := q.StartSpan("exec")
 		sp.End()
 		q.Finish("")
 	}
-	flat.StreamTo(nil) // drain barrier: the stream is complete past here
+	rt.StreamTo(nil) // drain barrier: the stream is complete past here
 
 	snap, err := json.Marshal(rt.Snapshot())
 	if err != nil {
@@ -208,14 +206,14 @@ func fakePeer(t *testing.T, snap obs.RequestsSnapshot) string {
 func TestClusterScrape(t *testing.T) {
 	ownerSnap := obs.RequestsSnapshot{Total: 1, Recent: []*obs.RequestTrace{{
 		ID: "r9", Op: "paths", Start: 5000, Dur: 400_000, Origin: "peer-a:9101",
-		Spans: []*obs.ReqSpan{
+		Spans: []*obs.Span{
 			{Name: "queue", Start: 5100, Dur: 50_000},
 			{Name: "exec", Start: 5200, Dur: 300_000},
 		},
 	}}}
 	reqSnap := obs.RequestsSnapshot{Total: 1, Recent: []*obs.RequestTrace{{
 		ID: "r9", Op: "paths", Start: 1000, Dur: 900_000,
-		Spans: []*obs.ReqSpan{
+		Spans: []*obs.Span{
 			{Name: "admission", Start: 1000, Dur: 5_000},
 			{Name: "forward", Start: 2000, Dur: 700_000},
 		},

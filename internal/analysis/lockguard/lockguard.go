@@ -19,7 +19,7 @@
 //	//hhc:holds mu
 //
 // which declare that every caller already holds the named mutex (the
-// RequestTracer.siftUp pattern — helpers only ever called under the
+// Tracer.siftUp pattern — helpers only ever called under the
 // recorder lock). Anything else needs a justified //lint:ignore.
 package lockguard
 

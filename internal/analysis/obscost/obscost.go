@@ -15,8 +15,8 @@
 // The *Observed exemption is narrower than the obs.go one: it sanctions
 // the metric and span surface (counters, gauges, histograms, tracer
 // spans), whose cost is a few atomic stores. The logging and
-// flight-recorder surface (obs.Logger, obs.RequestTracer and its Req /
-// ReqSpan handles) formats and writes — I/O that has no place in a hot
+// request-tree surface (obs.Logger, Tracer.StartRequest and the Req
+// handle it returns) formats and writes — I/O that has no place in a hot
 // path's instrumented twin either. Those calls are confined to obs.go
 // files, full stop.
 package obscost
@@ -85,12 +85,11 @@ func run(pass *analysis.Pass) error {
 }
 
 // ioBearing reports whether an obs object belongs to the logging or
-// flight-recorder surface: constructors of the two sinks, and every
-// method on the structured logger or the request-trace handles. These
-// format and write, so *Observed functions may not call them.
+// request-tree surface: the logger's constructor and methods, the tracer's
+// StartRequest, and every method on the Req handle. These format and
+// write, so *Observed functions may not call them.
 func ioBearing(obj types.Object) bool {
-	switch obj.Name() {
-	case "NewLogger", "NewRequestTracer":
+	if obj.Name() == "NewLogger" {
 		return true
 	}
 	fn, ok := obj.(*types.Func)
@@ -110,8 +109,10 @@ func ioBearing(obj types.Object) bool {
 		return false
 	}
 	switch named.Obj().Name() {
-	case "Logger", "RequestTracer", "Req", "ReqSpan":
+	case "Logger", "Req":
 		return true
+	case "Tracer":
+		return fn.Name() == "StartRequest"
 	}
 	return false
 }

@@ -10,7 +10,7 @@ type Holder struct {
 	Reg    *obs.Registry
 	Tracer *obs.Tracer
 	Log    *obs.Logger
-	Rec    *obs.RequestTracer
+	Rec    *obs.Tracer
 }
 
 // Hot is an uninstrumented function: it must not call into obs.

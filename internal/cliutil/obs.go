@@ -31,7 +31,8 @@ type Obs struct {
 	// text dump to on exit, or "-" for stdout.
 	MetricsPath string
 	// TracePath is the -trace value: a file that receives every completed
-	// span as one JSON line, streamed live, or "-" for stderr.
+	// span as one JSON line, streamed live, or "-" for stderr. Request
+	// trees arrive flattened, each line tagged with its rid.
 	TracePath string
 	// ListenAddr is the -listen value (see RegisterListenFlag): an address
 	// for the live debug HTTP server. A non-empty value enables the layer.
@@ -41,17 +42,17 @@ type Obs struct {
 	Force bool
 
 	// Registry and Tracer are non-nil after a successful Activate that
-	// found the layer enabled; nil otherwise.
+	// found the layer enabled; nil otherwise. The Tracer also holds the
+	// per-request flight recorder, which StartListener serves as
+	// /debug/requests once EnableRequests has run.
 	Registry *obs.Registry
 	Tracer   *obs.Tracer
-	// Requests is the per-request flight recorder, non-nil after
-	// EnableRequests; StartListener serves it as /debug/requests.
-	Requests *obs.RequestTracer
 	// Series is the windowed time-series ring behind /debug/series,
 	// non-nil after StartListener on an enabled layer. It samples the
 	// registry once per obs.DefaultSeriesInterval until Close.
 	Series *obs.SeriesRing
 
+	requests  bool // EnableRequests ran: mount /debug/requests
 	traceFile *os.File
 	srv       *http.Server
 	extra     []extraHandler
@@ -117,25 +118,25 @@ func (o *Obs) Activate() error {
 		o.Tracer.StreamTo(f)
 	}
 	obs.RegisterRuntime(o.Registry)
-	obs.RegisterSelf(o.Registry, o.Tracer, nil)
+	obs.RegisterSelf(o.Registry, o.Tracer, false)
 	core.SetObserver(core.NewObserver(o.Registry, o.Tracer))
 	return nil
 }
 
-// EnableRequests attaches a flight recorder for request-serving binaries:
-// span trees of the most interesting requests, retained for
-// /debug/requests and mirrored onto the -trace stream. slow force-retains
-// requests at least that long (0 disables the slow bucket). Call between
-// Activate and StartListener; a no-op returning nil when the layer is off.
-func (o *Obs) EnableRequests(slow time.Duration) *obs.RequestTracer {
+// EnableRequests turns on the tracer's flight recorder for
+// request-serving binaries: span trees of the most interesting requests,
+// retained for /debug/requests and streamed flattened onto -trace. slow
+// force-retains requests at least that long (0 disables the slow bucket).
+// Call between Activate and StartListener; returns the tracer to hand to
+// the server, or nil when the layer is off.
+func (o *Obs) EnableRequests(slow time.Duration) *obs.Tracer {
 	if o.Registry == nil {
 		return nil
 	}
-	o.Requests = obs.NewRequestTracer(0)
-	o.Requests.SetSlowThreshold(slow)
-	o.Requests.Mirror(o.Tracer)
-	obs.RegisterSelf(o.Registry, nil, o.Requests)
-	return o.Requests
+	o.requests = true
+	o.Tracer.SetSlowThreshold(slow)
+	obs.RegisterSelf(o.Registry, o.Tracer, true)
+	return o.Tracer
 }
 
 // StartListener serves the registry's debug mux (/metrics, /debug/vars,
@@ -148,8 +149,8 @@ func (o *Obs) StartListener(name string) (string, error) {
 	}
 	mux := obs.Mux(o.Registry)
 	extra := ", /debug/series"
-	if o.Requests != nil {
-		mux.Handle("/debug/requests", o.Requests.Handler())
+	if o.requests {
+		mux.Handle("/debug/requests", o.Tracer.Handler())
 		extra += ", /debug/requests"
 	}
 	// The series ring only matters while something can scrape it, so it is

@@ -15,7 +15,7 @@ import (
 // startTracedCluster is startTestCluster plus a flight recorder and a
 // metric registry per peer — the harness for the cross-peer tracing
 // end-to-end pins (rid propagation, stitching, exemplars).
-func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.RequestTracer) {
+func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.Tracer) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -28,7 +28,7 @@ func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.RequestTra
 		addrs[i] = ln.Addr().String()
 	}
 	tc := &testCluster{addrs: addrs}
-	tracers := make([]*obs.RequestTracer, n)
+	tracers := make([]*obs.Tracer, n)
 	for i := 0; i < n; i++ {
 		cl, err := New(Config{
 			Peers:    addrs,
@@ -39,7 +39,7 @@ func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.RequestTra
 		if err != nil {
 			t.Fatal(err)
 		}
-		tracers[i] = obs.NewRequestTracer(64)
+		tracers[i] = obs.NewTracer(64)
 		srv, err := pathsvc.New(pathsvc.Config{
 			M:        m,
 			Router:   cl,
@@ -70,8 +70,8 @@ func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.RequestTra
 
 // ridTraces returns every recorded tree carrying the rid, polling briefly:
 // the owner finishes its trace before answering, but the requester's
-// response can beat the recorder's mirror hand-off by a scheduler tick.
-func ridTraces(t *testing.T, tr *obs.RequestTracer, rid string, want int) []*obs.RequestTrace {
+// response can beat the recorder's Finish by a scheduler tick.
+func ridTraces(t *testing.T, tr *obs.Tracer, rid string, want int) []*obs.RequestTrace {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -89,7 +89,7 @@ func ridTraces(t *testing.T, tr *obs.RequestTracer, rid string, want int) []*obs
 }
 
 // topSpanOf finds the first top-level span named name (nil if absent).
-func topSpanOf(tr *obs.RequestTrace, name string) *obs.ReqSpan {
+func topSpanOf(tr *obs.RequestTrace, name string) *obs.Span {
 	for _, sp := range tr.Spans {
 		if sp.Name == name {
 			return sp
@@ -259,7 +259,7 @@ func TestStitchedClusterTrace(t *testing.T) {
 	if fwd == nil {
 		t.Fatal("stitched root lost its forward span")
 	}
-	var remote *obs.ReqSpan
+	var remote *obs.Span
 	for _, ch := range fwd.Children {
 		if ch.Name == "remote" {
 			remote = ch
@@ -339,6 +339,13 @@ func TestDebugClusterHandler(t *testing.T) {
 	if err := c.DoV2(&pathsvc.RequestV2{Op: pathsvc.OpCodePaths, RID: rid, U: u, V: v}, &resp); err != nil {
 		t.Fatal(err)
 	}
+	// The server records the request-latency exemplar just after writing
+	// the response, so the client can read it first: wait for the sample.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if hasExemplar(tc.servers[0].RequestExemplars(), rid) {
+			break
+		}
+	}
 
 	rec := httptest.NewRecorder()
 	tc.clusters[0].DebugHandler(tc.servers[0]).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/cluster", nil))
@@ -375,13 +382,16 @@ func TestDebugClusterHandler(t *testing.T) {
 	if snap.Counters.Forwarded != 1 || snap.Counters.Requests == 0 {
 		t.Errorf("counters = %+v, want the forward accounted", snap.Counters)
 	}
-	found := false
-	for _, ex := range snap.RequestExemplars {
-		if ex.RID == rid {
-			found = true
-		}
-	}
-	if !found {
+	if !hasExemplar(snap.RequestExemplars, rid) {
 		t.Errorf("request exemplars %+v do not carry rid %q", snap.RequestExemplars, rid)
 	}
+}
+
+func hasExemplar(exs []obs.Exemplar, rid string) bool {
+	for _, ex := range exs {
+		if ex.RID == rid {
+			return true
+		}
+	}
+	return false
 }

@@ -112,7 +112,7 @@ func (o *Observer) startPhase(name string, h *obs.Histogram, attrs ...obs.Attr) 
 type batchSpan struct {
 	o     *Observer
 	start time.Time
-	sp    *obs.Active
+	sp    *obs.Span
 }
 
 // startBatch opens the batch trace span. Returns nil when instrumentation

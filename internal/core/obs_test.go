@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/hhc"
@@ -8,19 +9,29 @@ import (
 )
 
 // withObserver installs a fresh observer for the test and uninstalls it on
-// cleanup, so the package-global pointer never leaks across tests.
-func withObserver(t *testing.T) (*Observer, *obs.Registry, *obs.Tracer) {
+// cleanup, so the package-global pointer never leaks across tests. spans
+// detaches the tracer's stream and returns every span it carried.
+func withObserver(t *testing.T) (o *Observer, reg *obs.Registry, spans func() []obs.Span) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(256)
-	o := NewObserver(reg, tr)
+	reg = obs.NewRegistry()
+	tr := obs.NewTracer(0)
+	var buf bytes.Buffer
+	tr.StreamTo(&buf)
+	o = NewObserver(reg, tr)
 	SetObserver(o)
-	t.Cleanup(func() { SetObserver(nil) })
-	return o, reg, tr
+	t.Cleanup(func() { SetObserver(nil); tr.StreamTo(nil) })
+	return o, reg, func() []obs.Span {
+		tr.StreamTo(nil)
+		ss, err := obs.ReadSpans(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
 }
 
 func TestObserverInstrumentsConstruction(t *testing.T) {
-	o, _, tr := withObserver(t)
+	o, _, spans := withObserver(t)
 	g, err := hhc.New(3)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +61,7 @@ func TestObserverInstrumentsConstruction(t *testing.T) {
 	// The tracer saw one construct span per call plus the cross-cube
 	// phase spans.
 	names := map[string]int{}
-	for _, s := range tr.Spans() {
+	for _, s := range spans() {
 		names[s.Name]++
 	}
 	if names["construct"] != 2 || names["derive"] != 1 || names["realize"] != 1 {
@@ -97,7 +108,7 @@ func TestObserverInstrumentsVerify(t *testing.T) {
 }
 
 func TestObserverInstrumentsBatch(t *testing.T) {
-	o, _, tr := withObserver(t)
+	o, _, spans := withObserver(t)
 	g, err := hhc.New(3)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +136,7 @@ func TestObserverInstrumentsBatch(t *testing.T) {
 		t.Errorf("workers gauge = %g after batch, want 0", got)
 	}
 	found := false
-	for _, s := range tr.Spans() {
+	for _, s := range spans() {
 		if s.Name == "batch" {
 			found = true
 		}

@@ -64,7 +64,7 @@ func newRunMetrics(reg *obs.Registry) *runMetrics {
 
 // span is the simulator's handle on one tracer span, so Run itself never
 // calls into internal/obs (the obscost analyzer keeps that split honest).
-type span struct{ a *obs.Active }
+type span struct{ a *obs.Span }
 
 func (s span) end() { s.a.End() }
 

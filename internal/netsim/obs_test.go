@@ -20,7 +20,9 @@ func obsConfig() Config {
 func TestRunRegistersMetrics(t *testing.T) {
 	cfg := obsConfig()
 	cfg.Obs = obs.NewRegistry()
-	cfg.Tracer = obs.NewTracer(64)
+	cfg.Tracer = obs.NewTracer(0)
+	var trace bytes.Buffer
+	cfg.Tracer.StreamTo(&trace)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +51,13 @@ func TestRunRegistersMetrics(t *testing.T) {
 		}
 	}
 
+	cfg.Tracer.StreamTo(nil)
+	spans, err := obs.ReadSpans(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
 	names := map[string]bool{}
-	for _, s := range cfg.Tracer.Spans() {
+	for _, s := range spans {
 		names[s.Name] = true
 	}
 	for _, want := range []string{"netsim.run", "netsim.routes", "netsim.workload", "netsim.simulate", "netsim.aggregate"} {

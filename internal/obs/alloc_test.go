@@ -10,7 +10,7 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 	var (
 		tr *Tracer
 		lg *Logger
-		rt *RequestTracer
+		rt *Tracer
 		wc *WindowCounter
 		wh *WindowHistogram
 	)

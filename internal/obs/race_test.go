@@ -18,8 +18,8 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 	h := r.Histogram("hammer_seconds", "", DefLatencyBuckets)
 	tr := NewTracer(64)
 	tr.StreamTo(io.Discard) // async drain runs alongside the writers
-	rt := NewRequestTracer(8)
-	rt.Mirror(tr)
+	rt := NewTracer(8)
+	rt.StreamTo(io.Discard)
 	lg := NewLogger(io.Discard, LevelInfo)
 
 	const workers = 8
@@ -60,13 +60,14 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 			if got := h.Count(); got != workers*iters {
 				t.Errorf("histogram count = %d, want %d", got, workers*iters)
 			}
-			if got := tr.Total(); got < workers*iters {
+			if got := tr.SpansTotal(); got < workers*iters {
 				t.Errorf("tracer total = %d, want >= %d", got, workers*iters)
 			}
 			if total, _ := rt.Totals(); total != workers*iters {
 				t.Errorf("recorder total = %d, want %d", total, workers*iters)
 			}
 			tr.StreamTo(nil)
+			rt.StreamTo(nil)
 			return
 		default:
 			if err := r.WritePrometheus(io.Discard); err != nil {
@@ -75,7 +76,6 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 			if err := r.WriteJSON(io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			tr.Spans()
 			rt.Snapshot()
 		}
 	}

@@ -2,114 +2,18 @@ package obs
 
 import (
 	"encoding/json"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// This file is the request-scoped half of the observability layer: span
-// trees with parent/child structure (one tree per served request) and a
-// flight recorder that retains the most interesting trees — the K slowest,
-// the K most recent errored, the K most recent over the slow threshold,
-// and the K most recent overall — for /debug/requests, x/net/trace-style.
+// This file is the flight recorder half of Tracer: it retains the most
+// interesting finished request trees — the K slowest, the K most recent
+// errored, the K most recent over the slow threshold, and the K most
+// recent overall — for /debug/requests, x/net/trace-style.
 //
 // Ownership rule: a Req and its spans are mutated by one goroutine at a
 // time (hand-offs between goroutines must carry a happens-before edge,
 // e.g. a channel send). The recorder only ever sees a tree after Finish,
 // so snapshots never race with in-flight mutation.
-
-// DefaultRecorderK is the per-bucket retention of a RequestTracer.
-const DefaultRecorderK = 32
-
-// ReqSpan is one named phase inside a request, possibly with nested
-// children. Times are wall-clock unix nanoseconds, durations nanoseconds.
-type ReqSpan struct {
-	Name     string
-	Start    int64
-	Dur      int64
-	Attrs    []Attr
-	Children []*ReqSpan
-
-	begin time.Time
-}
-
-// reqSpanJSON is the wire shape of a ReqSpan; attrs render as a flat
-// object (map keys sort, so output is deterministic).
-type reqSpanJSON struct {
-	Name     string            `json:"name"`
-	Start    int64             `json:"start_ns"`
-	Dur      int64             `json:"dur_ns"`
-	Attrs    map[string]string `json:"attrs,omitempty"`
-	Children []*ReqSpan        `json:"children,omitempty"`
-}
-
-func attrMap(attrs []Attr) map[string]string {
-	if len(attrs) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(attrs))
-	for _, a := range attrs {
-		m[a.Key] = a.Value
-	}
-	return m
-}
-
-func mapAttrs(m map[string]string) []Attr {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]Attr, 0, len(m))
-	for k, v := range m {
-		out = append(out, Attr{Key: k, Value: v})
-	}
-	return out
-}
-
-// MarshalJSON renders the span with attrs as a flat object.
-func (s *ReqSpan) MarshalJSON() ([]byte, error) {
-	return json.Marshal(reqSpanJSON{
-		Name: s.Name, Start: s.Start, Dur: s.Dur,
-		Attrs: attrMap(s.Attrs), Children: s.Children,
-	})
-}
-
-// UnmarshalJSON parses the wire shape back (attr order is not preserved).
-func (s *ReqSpan) UnmarshalJSON(data []byte) error {
-	var a reqSpanJSON
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*s = ReqSpan{Name: a.Name, Start: a.Start, Dur: a.Dur,
-		Attrs: mapAttrs(a.Attrs), Children: a.Children}
-	return nil
-}
-
-// StartChild opens a nested span under s.
-func (s *ReqSpan) StartChild(name string, attrs ...Attr) *ReqSpan {
-	if s == nil {
-		return nil
-	}
-	now := time.Now()
-	c := &ReqSpan{Name: name, Start: now.UnixNano(), Attrs: attrs, begin: now}
-	s.Children = append(s.Children, c)
-	return c
-}
-
-// SetAttr annotates an in-flight span.
-func (s *ReqSpan) SetAttr(key, value string) {
-	if s != nil {
-		s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
-	}
-}
-
-// End completes the span. Safe to call from a different goroutine than
-// StartChild as long as a happens-before edge orders the two.
-func (s *ReqSpan) End() {
-	if s != nil {
-		s.Dur = int64(time.Since(s.begin))
-	}
-}
 
 // RequestTrace is one completed request's tree: identity, outcome, and the
 // phase spans in start order.
@@ -127,7 +31,7 @@ type RequestTrace struct {
 	// default (see RetainForwardedSlow).
 	Origin string
 	Attrs  []Attr
-	Spans  []*ReqSpan
+	Spans  []*Span
 }
 
 type requestTraceJSON struct {
@@ -139,7 +43,7 @@ type requestTraceJSON struct {
 	Slow   bool              `json:"slow,omitempty"`
 	Origin string            `json:"origin,omitempty"`
 	Attrs  map[string]string `json:"attrs,omitempty"`
-	Spans  []*ReqSpan        `json:"spans,omitempty"`
+	Spans  []*Span           `json:"spans,omitempty"`
 }
 
 // MarshalJSON renders the trace with attrs as a flat object.
@@ -160,64 +64,6 @@ func (t *RequestTrace) UnmarshalJSON(data []byte) error {
 		Code: a.Code, Slow: a.Slow, Origin: a.Origin,
 		Attrs: mapAttrs(a.Attrs), Spans: a.Spans}
 	return nil
-}
-
-// Req is one in-flight request's tracing handle. A nil Req (from a nil
-// RequestTracer) ignores every call, so serving code never branches on
-// whether request tracing is enabled.
-type Req struct {
-	rt    *RequestTracer
-	tr    *RequestTrace
-	begin time.Time
-}
-
-// ID returns the request's correlation id ("" on a nil Req).
-func (q *Req) ID() string {
-	if q == nil {
-		return ""
-	}
-	return q.tr.ID
-}
-
-// SetAttr annotates the request itself (endpoints, widths, peers).
-func (q *Req) SetAttr(key, value string) {
-	if q != nil {
-		q.tr.Attrs = append(q.tr.Attrs, Attr{Key: key, Value: value})
-	}
-}
-
-// SetOrigin marks the request as forwarded from the named peer. The tree
-// records the origin both structurally (RequestTrace.Origin, the stitching
-// join key) and as a visible attr.
-func (q *Req) SetOrigin(peer string) {
-	if q == nil || peer == "" {
-		return
-	}
-	q.tr.Origin = peer
-	q.tr.Attrs = append(q.tr.Attrs, Attr{Key: "origin", Value: peer})
-}
-
-// StartSpan opens a top-level phase span on the request.
-func (q *Req) StartSpan(name string, attrs ...Attr) *ReqSpan {
-	if q == nil {
-		return nil
-	}
-	now := time.Now()
-	s := &ReqSpan{Name: name, Start: now.UnixNano(), Attrs: attrs, begin: now}
-	q.tr.Spans = append(q.tr.Spans, s)
-	return s
-}
-
-// Finish completes the request with its outcome code ("" = OK), hands the
-// tree to the recorder, and mirrors the spans to the attached flat tracer
-// stream. The Req must not be used afterwards.
-func (q *Req) Finish(code string) {
-	if q == nil {
-		return
-	}
-	q.tr.Dur = int64(time.Since(q.begin))
-	q.tr.Code = code
-	q.rt.finishLive(q.tr)
 }
 
 // ringBuf retains the last cap(buf) traces, newest overwriting oldest.
@@ -246,47 +92,10 @@ func (r *ringBuf) list() []*RequestTrace {
 	return out
 }
 
-// RequestTracer is the flight recorder: it assigns request ids, collects
-// span trees, and retains the interesting ones. All methods are safe for
-// concurrent use and nil-receiver safe.
-type RequestTracer struct {
-	k       int
-	seq     atomic.Uint64
-	slowNS  atomic.Int64
-	fwdSlow atomic.Bool // retain Origin-tagged trees in the slow bucket
-
-	// mirror receives every finished request's spans as flat tracer spans
-	// (rid attr added), so -trace JSONL files carry request phases too.
-	// Set once at wiring time, before serving starts.
-	mirror *Tracer
-
-	mu      sync.Mutex
-	total   int64           // guarded by mu
-	errored int64           // guarded by mu
-	slowest []*RequestTrace // min-heap by Dur: the K slowest ever; guarded by mu
-	errs    ringBuf         // K most recent non-OK; guarded by mu
-	slow    ringBuf         // K most recent over the slow threshold; guarded by mu
-	recent  ringBuf         // K most recent overall; guarded by mu
-}
-
-// NewRequestTracer builds a recorder retaining k traces per bucket
-// (k <= 0 selects DefaultRecorderK).
-func NewRequestTracer(k int) *RequestTracer {
-	if k <= 0 {
-		k = DefaultRecorderK
-	}
-	return &RequestTracer{
-		k:      k,
-		errs:   newRingBuf(k),
-		slow:   newRingBuf(k),
-		recent: newRingBuf(k),
-	}
-}
-
 // SetSlowThreshold force-retains requests at least d long in the slow
 // bucket (and marks them Slow), regardless of how they rank among the K
 // slowest. d <= 0 disables the bucket.
-func (t *RequestTracer) SetSlowThreshold(d time.Duration) {
+func (t *Tracer) SetSlowThreshold(d time.Duration) {
 	if t != nil {
 		t.slowNS.Store(int64(d))
 	}
@@ -297,64 +106,24 @@ func (t *RequestTracer) SetSlowThreshold(d time.Duration) {
 // client requests were slow here", and a forwarded tree's latency is
 // already accounted for inside the requester peer's own trace — retaining
 // both would double-count every slow cross-peer query.
-func (t *RequestTracer) RetainForwardedSlow(on bool) {
+func (t *Tracer) RetainForwardedSlow(on bool) {
 	if t != nil {
 		t.fwdSlow.Store(on)
 	}
 }
 
 // SlowThreshold returns the configured threshold (0 = disabled).
-func (t *RequestTracer) SlowThreshold() time.Duration {
+func (t *Tracer) SlowThreshold() time.Duration {
 	if t == nil {
 		return 0
 	}
 	return time.Duration(t.slowNS.Load())
 }
 
-// Mirror re-emits every finished request's spans onto tr's flat stream
-// (one span per phase, rid attr added). Call once at wiring time, before
-// serving starts.
-func (t *RequestTracer) Mirror(tr *Tracer) {
-	if t != nil {
-		t.mirror = tr
-	}
-}
-
-// StartRequest opens a request trace. id is the client-supplied
-// correlation id; when empty, the recorder assigns "r<seq>". Returns nil
-// on a nil receiver — every Req and ReqSpan method tolerates that.
-func (t *RequestTracer) StartRequest(op, id string, attrs ...Attr) *Req {
-	if t == nil {
-		return nil
-	}
-	if id == "" {
-		id = "r" + strconv.FormatUint(t.seq.Add(1), 10)
-	}
-	now := time.Now()
-	return &Req{
-		rt:    t,
-		begin: now,
-		tr:    &RequestTrace{ID: id, Op: op, Start: now.UnixNano(), Attrs: attrs},
-	}
-}
-
-// finishLive records a tree produced by live serving: retention plus the
-// mirror emission (Record alone skips the mirror, so replayed/ingested
-// traces are not re-streamed).
-func (t *RequestTracer) finishLive(tr *RequestTrace) {
-	if d := t.slowNS.Load(); d > 0 && tr.Dur >= d {
-		tr.Slow = true
-	}
-	t.Record(tr)
-	if t.mirror != nil {
-		t.mirrorTrace(tr)
-	}
-}
-
 // Record applies the retention policy to one completed trace. Exported so
 // offline consumers (cmd/hhcobs) can replay dumped traces through the same
 // top-K logic the live recorder uses.
-func (t *RequestTracer) Record(tr *RequestTrace) {
+func (t *Tracer) Record(tr *RequestTrace) {
 	if t == nil {
 		return
 	}
@@ -382,7 +151,7 @@ func (t *RequestTracer) Record(tr *RequestTrace) {
 // siftUp restores the heap invariant upward from i.
 //
 //hhc:holds mu
-func (t *RequestTracer) siftUp(i int) {
+func (t *Tracer) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if t.slowest[p].Dur <= t.slowest[i].Dur {
@@ -396,7 +165,7 @@ func (t *RequestTracer) siftUp(i int) {
 // siftDown restores the heap invariant downward from i.
 //
 //hhc:holds mu
-func (t *RequestTracer) siftDown(i int) {
+func (t *Tracer) siftDown(i int) {
 	n := len(t.slowest)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -415,28 +184,6 @@ func (t *RequestTracer) siftDown(i int) {
 	}
 }
 
-// mirrorTrace flattens one finished tree onto the flat tracer: a "request"
-// span for the whole request, then every phase span, each carrying the rid
-// attr so offline tools can regroup them per request.
-func (t *RequestTracer) mirrorTrace(tr *RequestTrace) {
-	rid := Attr{Key: "rid", Value: tr.ID}
-	root := Span{Name: "request", Start: tr.Start, Dur: tr.Dur,
-		Attrs: append([]Attr{rid, {Key: "op", Value: tr.Op}}, tr.Attrs...)}
-	if tr.Code != "" {
-		root.Attrs = append(root.Attrs, Attr{Key: "code", Value: tr.Code})
-	}
-	t.mirror.record(root)
-	var walk func(spans []*ReqSpan)
-	walk = func(spans []*ReqSpan) {
-		for _, s := range spans {
-			t.mirror.record(Span{Name: s.Name, Start: s.Start, Dur: s.Dur,
-				Attrs: append([]Attr{rid}, s.Attrs...)})
-			walk(s.Children)
-		}
-	}
-	walk(tr.Spans)
-}
-
 // RequestsSnapshot is the /debug/requests payload: totals plus the four
 // retention buckets, each newest- or slowest-first.
 type RequestsSnapshot struct {
@@ -452,7 +199,7 @@ type RequestsSnapshot struct {
 // Snapshot reads the recorder. Slowest is ordered slowest-first; the ring
 // buckets newest-first. The returned traces are shared (completed trees
 // are immutable), the slices fresh.
-func (t *RequestTracer) Snapshot() RequestsSnapshot {
+func (t *Tracer) Snapshot() RequestsSnapshot {
 	if t == nil {
 		return RequestsSnapshot{}
 	}
@@ -477,7 +224,7 @@ func (t *RequestTracer) Snapshot() RequestsSnapshot {
 }
 
 // Totals reports (requests seen, errored) without copying the buckets.
-func (t *RequestTracer) Totals() (total, errored int64) {
+func (t *Tracer) Totals() (total, errored int64) {
 	if t == nil {
 		return 0, 0
 	}
@@ -489,7 +236,7 @@ func (t *RequestTracer) Totals() (total, errored int64) {
 // RetainedCounts reports how many traces each retention bucket currently
 // holds, so trace retention is scrapeable instead of only visible by
 // dumping /debug/requests.
-func (t *RequestTracer) RetainedCounts() (slowest, errs, slow, recent int) {
+func (t *Tracer) RetainedCounts() (slowest, errs, slow, recent int) {
 	if t == nil {
 		return 0, 0, 0, 0
 	}

@@ -16,7 +16,7 @@ func mkTrace(id string, dur int64, code string) *RequestTrace {
 }
 
 func TestRequestTracerSlowestHeap(t *testing.T) {
-	rt := NewRequestTracer(3)
+	rt := NewTracer(3)
 	for i, dur := range []int64{50, 10, 90, 30, 70, 20} {
 		rt.Record(mkTrace("r"+strconv.Itoa(i), dur, ""))
 	}
@@ -38,7 +38,7 @@ func TestRequestTracerSlowestHeap(t *testing.T) {
 }
 
 func TestRequestTracerErrorRing(t *testing.T) {
-	rt := NewRequestTracer(2)
+	rt := NewTracer(2)
 	rt.Record(mkTrace("a", 1, "overload"))
 	rt.Record(mkTrace("b", 1, ""))
 	rt.Record(mkTrace("c", 1, "deadline"))
@@ -53,7 +53,7 @@ func TestRequestTracerErrorRing(t *testing.T) {
 }
 
 func TestRequestTracerSlowThreshold(t *testing.T) {
-	rt := NewRequestTracer(4)
+	rt := NewTracer(4)
 	rt.SetSlowThreshold(time.Millisecond)
 	req := rt.StartRequest("paths", "")
 	time.Sleep(2 * time.Millisecond)
@@ -73,7 +73,7 @@ func TestRequestTracerSlowThreshold(t *testing.T) {
 }
 
 func TestStartRequestAssignsIDs(t *testing.T) {
-	rt := NewRequestTracer(4)
+	rt := NewTracer(4)
 	q1 := rt.StartRequest("paths", "")
 	q2 := rt.StartRequest("paths", "client-7")
 	if q1.ID() != "r1" {
@@ -85,7 +85,7 @@ func TestStartRequestAssignsIDs(t *testing.T) {
 }
 
 func TestRequestSpanTree(t *testing.T) {
-	rt := NewRequestTracer(4)
+	rt := NewTracer(4)
 	q := rt.StartRequest("paths", "t1", String("peer", "unit"))
 	q.SetAttr("width", "4")
 	admit := q.StartSpan("admission")
@@ -122,9 +122,9 @@ func TestRequestTraceJSONRoundTrip(t *testing.T) {
 	in := &RequestTrace{
 		ID: "x", Op: "paths", Start: 5, Dur: 9, Code: "overload", Slow: true,
 		Attrs: []Attr{{Key: "k", Value: "v"}},
-		Spans: []*ReqSpan{{
+		Spans: []*Span{{
 			Name: "exec", Start: 6, Dur: 3,
-			Children: []*ReqSpan{{Name: "realize", Start: 7, Dur: 1,
+			Children: []*Span{{Name: "realize", Start: 7, Dur: 1,
 				Attrs: []Attr{{Key: "pair", Value: "0"}}}},
 		}},
 	}
@@ -148,20 +148,31 @@ func TestRequestTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRequestTracerMirror: with a sink attached, Finish streams the tree
+// flattened — a request line, then every span depth-first — each line
+// tagged with the rid, and the outcome code on the request line.
 func TestRequestTracerMirror(t *testing.T) {
-	flat := NewTracer(16)
-	rt := NewRequestTracer(4)
-	rt.Mirror(flat)
-	q := rt.StartRequest("paths", "m1")
+	var buf bytes.Buffer
+	tr := NewTracer(4)
+	tr.StreamTo(&buf)
+	q := tr.StartRequest("paths", "m1")
 	q.StartSpan("exec").StartChild("realize").End()
 	q.Finish("overload")
+	tr.StreamTo(nil)
 
-	spans := flat.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("mirrored %d flat spans, want 3 (request, exec, realize)", len(spans))
+	var spans []Span
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var s Span
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("line is not a span: %v\n%s", err, line)
+		}
+		spans = append(spans, s)
 	}
-	if spans[0].Name != "request" {
-		t.Errorf("first mirrored span = %q, want request", spans[0].Name)
+	if len(spans) != 3 {
+		t.Fatalf("streamed %d flat spans, want 3 (request, exec, realize)", len(spans))
+	}
+	if spans[0].Name != PhaseRequest {
+		t.Errorf("first streamed span = %q, want request", spans[0].Name)
 	}
 	for _, s := range spans {
 		if !hasAttr(s.Attrs, "rid", "m1") {
@@ -171,15 +182,17 @@ func TestRequestTracerMirror(t *testing.T) {
 	if !hasAttr(spans[0].Attrs, "code", "overload") {
 		t.Errorf("request span lacks code attr: %v", spans[0].Attrs)
 	}
+	if got := tr.SpansTotal(); got != 3 {
+		t.Errorf("SpansTotal = %d, want 3", got)
+	}
 }
 
 func TestNilRequestTracerSafe(t *testing.T) {
-	var rt *RequestTracer
+	var rt *Tracer
 	rt.SetSlowThreshold(time.Second)
 	if rt.SlowThreshold() != 0 {
 		t.Error("nil recorder has a threshold")
 	}
-	rt.Mirror(nil)
 	rt.Record(mkTrace("x", 1, ""))
 	q := rt.StartRequest("paths", "id")
 	if q != nil {
@@ -214,7 +227,7 @@ func ids(traces []*RequestTrace) []string {
 	return out
 }
 
-func spanNames(spans []*ReqSpan) []string {
+func spanNames(spans []*Span) []string {
 	out := make([]string, len(spans))
 	for i, s := range spans {
 		out[i] = s.Name

@@ -15,7 +15,7 @@ import (
 // JSON snapshot with ?format=json (or an Accept header naming
 // application/json). The JSON shape is RequestsSnapshot; cmd/hhcobs
 // consumes it directly.
-func (t *RequestTracer) Handler() http.Handler {
+func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		snap := t.Snapshot()
 		if r.URL.Query().Get("format") == "json" ||
@@ -91,7 +91,7 @@ func writeTraceTable(w io.Writer, title string, traces []*RequestTrace) {
 }
 
 // writeSpanTree renders the tree indented, one span per line.
-func writeSpanTree(w io.Writer, spans []*ReqSpan, depth int) {
+func writeSpanTree(w io.Writer, spans []*Span, depth int) {
 	for _, s := range spans {
 		line := fmt.Sprintf("%s%-12s %10s", strings.Repeat("  ", depth),
 			s.Name, time.Duration(s.Dur))

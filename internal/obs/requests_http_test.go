@@ -12,16 +12,16 @@ import (
 
 // goldenRecorder replays fixed, hand-built traces through the retention
 // policy, so the snapshot is fully deterministic.
-func goldenRecorder() *RequestTracer {
-	rt := NewRequestTracer(2)
+func goldenRecorder() *Tracer {
+	rt := NewTracer(2)
 	rt.SetSlowThreshold(time.Millisecond)
 	rt.Record(&RequestTrace{
 		ID: "r1", Op: "paths", Start: 1700000000000000000, Dur: 250_000,
 		Attrs: []Attr{{Key: "peer", Value: "10.0.0.9:41000"}, {Key: "width", Value: "4"}},
-		Spans: []*ReqSpan{
+		Spans: []*Span{
 			{Name: "admission", Start: 1700000000000001000, Dur: 1_000},
 			{Name: "exec", Start: 1700000000000002000, Dur: 230_000,
-				Children: []*ReqSpan{
+				Children: []*Span{
 					{Name: "realize", Start: 1700000000000003000, Dur: 200_000,
 						Attrs: []Attr{{Key: "pairs", Value: "4"}}},
 				}},
@@ -31,12 +31,12 @@ func goldenRecorder() *RequestTracer {
 	rt.Record(&RequestTrace{
 		ID: "r2", Op: "paths", Start: 1700000001000000000, Dur: 40_000,
 		Code:  "overload",
-		Spans: []*ReqSpan{{Name: "admission", Start: 1700000001000001000, Dur: 35_000}},
+		Spans: []*Span{{Name: "admission", Start: 1700000001000001000, Dur: 35_000}},
 	})
 	rt.Record(&RequestTrace{
 		ID: "slow-1", Op: "paths", Start: 1700000002000000000, Dur: 2_500_000,
 		Slow:  true,
-		Spans: []*ReqSpan{{Name: "exec", Start: 1700000002000001000, Dur: 2_400_000}},
+		Spans: []*Span{{Name: "exec", Start: 1700000002000001000, Dur: 2_400_000}},
 	})
 	return rt
 }

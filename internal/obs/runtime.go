@@ -38,31 +38,34 @@ func RegisterRuntime(r *Registry) {
 }
 
 // RegisterSelf exposes the observability layer's own health as obs_*
-// series: spans lost to a saturated -trace drain queue (silent until now),
-// spans recorded, and the flight recorder's totals and per-bucket
-// retention. Either sink may be nil; only the present ones register.
-func RegisterSelf(r *Registry, tr *Tracer, rt *RequestTracer) {
-	if tr != nil {
-		r.CounterFunc("obs_trace_spans_total",
-			"Spans completed by the flat tracer (ring retention excluded).", tr.Total)
-		r.CounterFunc("obs_trace_dropped_total",
-			"Spans lost because the -trace stream sink could not keep up.", tr.Dropped)
+// series: spans completed and spans lost to a saturated -trace drain
+// queue, plus, when recorder is set, the flight recorder's totals and
+// per-bucket retention. A nil tracer registers nothing; registering the
+// same tracer again (to add the recorder series later) is harmless.
+func RegisterSelf(r *Registry, tr *Tracer, recorder bool) {
+	if tr == nil {
+		return
 	}
-	if rt != nil {
-		r.CounterFunc("obs_requests_recorded_total",
-			"Request trees handed to the flight recorder.",
-			func() int64 { total, _ := rt.Totals(); return total })
-		r.CounterFunc("obs_requests_errored_total",
-			"Recorded request trees that finished with a non-OK code.",
-			func() int64 { _, errored := rt.Totals(); return errored })
-		bucket := func(name string, pick func() int) {
-			r.GaugeFunc(`obs_requests_retained{bucket="`+name+`"}`,
-				"Request trees currently retained per flight-recorder bucket.",
-				func() float64 { return float64(pick()) })
-		}
-		bucket("slowest", func() int { n, _, _, _ := rt.RetainedCounts(); return n })
-		bucket("errors", func() int { _, n, _, _ := rt.RetainedCounts(); return n })
-		bucket("slow", func() int { _, _, n, _ := rt.RetainedCounts(); return n })
-		bucket("recent", func() int { _, _, _, n := rt.RetainedCounts(); return n })
+	r.CounterFunc("obs_trace_spans_total",
+		"Spans completed by the tracer, streamed or not.", tr.SpansTotal)
+	r.CounterFunc("obs_trace_dropped_total",
+		"Spans lost because the -trace stream sink could not keep up.", tr.Dropped)
+	if !recorder {
+		return
 	}
+	r.CounterFunc("obs_requests_recorded_total",
+		"Request trees handed to the flight recorder.",
+		func() int64 { total, _ := tr.Totals(); return total })
+	r.CounterFunc("obs_requests_errored_total",
+		"Recorded request trees that finished with a non-OK code.",
+		func() int64 { _, errored := tr.Totals(); return errored })
+	bucket := func(name string, pick func() int) {
+		r.GaugeFunc(`obs_requests_retained{bucket="`+name+`"}`,
+			"Request trees currently retained per flight-recorder bucket.",
+			func() float64 { return float64(pick()) })
+	}
+	bucket("slowest", func() int { n, _, _, _ := tr.RetainedCounts(); return n })
+	bucket("errors", func() int { _, n, _, _ := tr.RetainedCounts(); return n })
+	bucket("slow", func() int { _, _, n, _ := tr.RetainedCounts(); return n })
+	bucket("recent", func() int { _, _, _, n := tr.RetainedCounts(); return n })
 }

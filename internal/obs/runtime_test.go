@@ -40,18 +40,19 @@ func TestRegisterRuntime(t *testing.T) {
 
 func TestRegisterSelf(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(16)
-	rt := NewRequestTracer(4)
-	RegisterSelf(r, tr, rt)
+	tr := NewTracer(4)
+	RegisterSelf(r, tr, false)
+	RegisterSelf(r, tr, true) // adds the recorder series; the rest is idempotent
 
 	tr.Start("a").End()
 	tr.Start("b").End()
-	rt.StartRequest("op", "").Finish("")
-	rt.StartRequest("op", "").Finish("timeout")
+	tr.StartRequest("op", "").Finish("")
+	tr.StartRequest("op", "").Finish("timeout")
 
 	snap := r.Snapshot()
-	if got := snap.Counters["obs_trace_spans_total"]; got != 2 {
-		t.Errorf("obs_trace_spans_total = %d, want 2", got)
+	// Two flat roots plus the two requests' root spans.
+	if got := snap.Counters["obs_trace_spans_total"]; got != 4 {
+		t.Errorf("obs_trace_spans_total = %d, want 4", got)
 	}
 	if got := snap.Counters["obs_trace_dropped_total"]; got != 0 {
 		t.Errorf("obs_trace_dropped_total = %d, want 0", got)
@@ -71,10 +72,17 @@ func TestRegisterSelf(t *testing.T) {
 		t.Errorf("retained errors = %g, want 1", got)
 	}
 
-	// Nil sinks must register nothing rather than panic.
+	// Without the recorder flag only the span series appear.
+	flat := NewRegistry()
+	RegisterSelf(flat, tr, false)
+	if _, ok := flat.Snapshot().Counters["obs_requests_recorded_total"]; ok {
+		t.Error("recorder series registered without the recorder flag")
+	}
+
+	// A nil tracer must register nothing rather than panic.
 	empty := NewRegistry()
-	RegisterSelf(empty, nil, nil)
+	RegisterSelf(empty, nil, true)
 	if n := len(empty.Snapshot().Counters); n != 0 {
-		t.Errorf("nil sinks registered %d counters, want 0", n)
+		t.Errorf("nil tracer registered %d counters, want 0", n)
 	}
 }

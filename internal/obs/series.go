@@ -17,7 +17,7 @@ import (
 // (per-interval counts, rates, and interval-local histogram percentiles),
 // and a bounded SeriesRing that samples the registry on a fixed interval
 // and serves the retained points as /debug/series — the windowed view
-// every cumulative-only consumer (dashboards, hhctop, SLO gates) needs.
+// every cumulative-only consumer (dashboards, hhcobs -live, SLO gates) needs.
 
 // RegistrySnapshot is a point-in-time reading of every series in a
 // registry, fn-backed series included.
@@ -336,8 +336,9 @@ func (s *SeriesRing) Snapshot(last int) SeriesSnapshot {
 }
 
 // Handler serves the ring as /debug/series: the JSON SeriesSnapshot by
-// default (shape pinned by golden file; cmd/hhctop consumes it), a human
-// table with ?format=table. ?last=N limits output to the newest N points.
+// default (shape pinned by golden file; cmd/hhcobs -live consumes it), a
+// human table with ?format=table. ?last=N limits output to the newest N
+// points.
 func (s *SeriesRing) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		last := 0

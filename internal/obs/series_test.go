@@ -147,8 +147,8 @@ func goldenRing() *SeriesRing {
 	return ring
 }
 
-// TestSeriesJSONGolden pins the /debug/series JSON shape: cmd/hhctop and
-// the CI smoke test parse this payload, so drift is an interface break.
+// TestSeriesJSONGolden pins the /debug/series JSON shape: cmd/hhcobs -live
+// and the CI smoke test parse this payload, so drift is an interface break.
 func TestSeriesJSONGolden(t *testing.T) {
 	srv := httptest.NewServer(goldenRing().Handler())
 	defer srv.Close()

@@ -73,11 +73,11 @@ func copyTrace(tr *RequestTrace) *RequestTrace {
 	return &out
 }
 
-func copySpans(spans []*ReqSpan) []*ReqSpan {
+func copySpans(spans []*Span) []*Span {
 	if spans == nil {
 		return nil
 	}
-	out := make([]*ReqSpan, len(spans))
+	out := make([]*Span, len(spans))
 	for i, s := range spans {
 		c := *s
 		c.Attrs = append([]Attr(nil), s.Attrs...)
@@ -89,7 +89,7 @@ func copySpans(spans []*ReqSpan) []*ReqSpan {
 
 // topSpan finds the first top-level span with the given name (nil if
 // absent).
-func topSpan(tr *RequestTrace, name string) *ReqSpan {
+func topSpan(tr *RequestTrace, name string) *Span {
 	for _, s := range tr.Spans {
 		if s.Name == name {
 			return s
@@ -135,7 +135,7 @@ func StitchTraces(byPeer map[string][]*RequestTrace) []*StitchedTrace {
 			// plain local trees share the rid namespace shape but never
 			// pair with a fragment anyway — the span check just avoids
 			// mis-rooting when rids collide across peers.
-			if topSpan(tr, "forward") != nil {
+			if topSpan(tr, PhaseForward) != nil {
 				roots[tr.ID] = append(roots[tr.ID], half{peer, tr})
 			}
 		}
@@ -166,7 +166,7 @@ func StitchTraces(byPeer map[string][]*RequestTrace) []*StitchedTrace {
 			}
 			sort.Slice(mine, func(i, j int) bool { return mine[i].peer < mine[j].peer })
 			tree := copyTrace(root.tr)
-			fwd := topSpan(tree, "forward")
+			fwd := topSpan(tree, PhaseForward)
 			st := &StitchedTrace{
 				RID:           rid,
 				RequesterPeer: root.peer,
@@ -177,7 +177,7 @@ func StitchTraces(byPeer map[string][]*RequestTrace) []*StitchedTrace {
 				remote := copyTrace(h.tr)
 				// The grafted subtree is the owner's whole request, rendered
 				// as one child span so the peer boundary stays visible.
-				sub := &ReqSpan{
+				sub := &Span{
 					Name:  "remote",
 					Start: remote.Start,
 					Dur:   remote.Dur,
@@ -186,10 +186,10 @@ func StitchTraces(byPeer map[string][]*RequestTrace) []*StitchedTrace {
 				sub.Children = remote.Spans
 				fwd.Children = append(fwd.Children, sub)
 				st.OwnerPeer = h.peer
-				if q := topSpan(remote, "queue"); q != nil {
+				if q := topSpan(remote, PhaseQueue); q != nil {
 					st.RemoteQueueNS += q.Dur
 				}
-				if x := topSpan(remote, "exec"); x != nil {
+				if x := topSpan(remote, PhaseExec); x != nil {
 					st.RemoteExecNS += x.Dur
 				}
 			}

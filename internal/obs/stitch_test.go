@@ -11,7 +11,7 @@ import (
 func mkForwarded(rid string, start, fwdNS int64) *RequestTrace {
 	return &RequestTrace{
 		ID: rid, Op: "paths", Start: start, Dur: fwdNS + 30,
-		Spans: []*ReqSpan{
+		Spans: []*Span{
 			{Name: "admission", Start: start, Dur: 10},
 			{Name: "forward", Start: start + 10, Dur: fwdNS},
 			{Name: "encode", Start: start + 10 + fwdNS, Dur: 20},
@@ -25,7 +25,7 @@ func mkOwner(rid, origin string, start, queueNS, execNS int64) *RequestTrace {
 	return &RequestTrace{
 		ID: rid, Op: "paths", Start: start, Dur: queueNS + execNS + 5,
 		Origin: origin,
-		Spans: []*ReqSpan{
+		Spans: []*Span{
 			{Name: "admission", Start: start, Dur: 2},
 			{Name: "queue", Start: start + 2, Dur: queueNS},
 			{Name: "exec", Start: start + 2 + queueNS, Dur: execNS},
@@ -40,7 +40,7 @@ func TestStitchTracesJoinsByRID(t *testing.T) {
 			// A plain local tree on the requester: no forward span, never
 			// a root.
 			{ID: "r8", Op: "paths", Start: 1000, Dur: 40,
-				Spans: []*ReqSpan{{Name: "exec", Start: 1000, Dur: 40}}},
+				Spans: []*Span{{Name: "exec", Start: 1000, Dur: 40}}},
 		},
 		"b:2": {
 			mkOwner("r7", "a:1", 1100, 120, 300),
@@ -148,7 +148,7 @@ func jsonHasKey(data []byte, key string) bool {
 }
 
 func TestForwardedSlowFilter(t *testing.T) {
-	rt := NewRequestTracer(4)
+	rt := NewTracer(4)
 	rt.SetSlowThreshold(time.Nanosecond) // everything is slow
 	fwd := mkOwner("rf", "a:1", 1000, 1, 1)
 	fwd.Slow = true
@@ -165,7 +165,7 @@ func TestForwardedSlowFilter(t *testing.T) {
 		t.Errorf("recent = %d, want 2", len(snap.Recent))
 	}
 
-	rt2 := NewRequestTracer(4)
+	rt2 := NewTracer(4)
 	rt2.RetainForwardedSlow(true)
 	fwd2 := mkOwner("rf2", "a:1", 1000, 1, 1)
 	fwd2.Slow = true
@@ -176,7 +176,7 @@ func TestForwardedSlowFilter(t *testing.T) {
 }
 
 func TestSetOriginLiveTagging(t *testing.T) {
-	rt := NewRequestTracer(4)
+	rt := NewTracer(4)
 	rt.SetSlowThreshold(time.Nanosecond)
 	q := rt.StartRequest("paths", "rid-9")
 	q.SetOrigin("peer-b:9001")

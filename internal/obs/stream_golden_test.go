@@ -50,9 +50,9 @@ func TestTraceStreamGolden(t *testing.T) {
 	fwd.SetAttr("peer", "127.0.0.1:9102")
 	fwd.End()
 	fwd.Children = append(fwd.Children,
-		&ReqSpan{Name: "remote_queue", Start: 1, Dur: 10},
-		&ReqSpan{Name: "remote_exec", Start: 11, Dur: 20},
-		&ReqSpan{Name: "wire", Start: 31, Dur: 5})
+		&Span{Name: "remote_queue", Start: 1, Dur: 10},
+		&Span{Name: "remote_exec", Start: 11, Dur: 20},
+		&Span{Name: "wire", Start: 31, Dur: 5})
 	q.StartSpan("encode").End()
 	q.Finish("")
 
@@ -73,12 +73,10 @@ func TestTraceStreamGolden(t *testing.T) {
 	}
 }
 
-// goldenStream wires a request recorder onto a tracer streaming to w, the
-// way cliutil does for hhcd -trace.
-func goldenStream(w *bytes.Buffer) (*Tracer, *RequestTracer) {
+// goldenStream builds one tracer streaming to w, the way cliutil wires
+// hhcd -trace; it serves both the flat root and the request trees.
+func goldenStream(w *bytes.Buffer) (*Tracer, *Tracer) {
 	tr := NewTracer(0)
 	tr.StreamTo(w)
-	rt := NewRequestTracer(0)
-	rt.Mirror(tr)
-	return tr, rt
+	return tr, tr
 }

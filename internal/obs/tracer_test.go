@@ -3,32 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestTracerRingWrap(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 6; i++ {
-		sp := tr.Start("s" + strconv.Itoa(i))
-		sp.End()
-	}
-	if tr.Total() != 6 {
-		t.Errorf("Total = %d, want 6", tr.Total())
-	}
-	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("ring kept %d spans, want 4", len(spans))
-	}
-	for i, s := range spans {
-		if want := "s" + strconv.Itoa(i+2); s.Name != want {
-			t.Errorf("spans[%d] = %q, want %q (oldest-first after wrap)", i, s.Name, want)
-		}
-	}
-}
 
 func TestTracerStreamJSONL(t *testing.T) {
 	var buf bytes.Buffer
@@ -61,16 +40,36 @@ func TestTracerStreamJSONL(t *testing.T) {
 	}
 }
 
-func TestTracerWriteJSONL(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Start("a").End()
-	tr.Start("b").End()
+// TestTracerRootWithChildren: a root from Start may carry children; End
+// streams the root first, then each descendant depth-first as its own
+// flat line, and counts every one of them.
+func TestTracerRootWithChildren(t *testing.T) {
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr := NewTracer(0)
+	tr.StreamTo(&buf)
+	root := tr.Start("batch")
+	pair := root.StartChild("pair", String("i", "0"))
+	pair.StartChild("realize").End()
+	pair.End()
+	root.End()
+	tr.StreamTo(nil)
+
+	spans, err := ReadSpans(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(buf.String(), "\n"); n != 2 {
-		t.Errorf("dump has %d lines, want 2:\n%s", n, buf.String())
+	var names []string
+	for _, s := range spans {
+		names = append(names, s.Name)
+		if len(s.Children) != 0 {
+			t.Errorf("streamed line %q nests children", s.Name)
+		}
+	}
+	if strings.Join(names, ",") != "batch,pair,realize" {
+		t.Errorf("streamed %v, want [batch pair realize]", names)
+	}
+	if tr.SpansTotal() != 3 {
+		t.Errorf("SpansTotal = %d, want 3", tr.SpansTotal())
 	}
 }
 
@@ -84,8 +83,8 @@ func TestTracerStreamDetach(t *testing.T) {
 	if strings.Contains(buf.String(), "dropped") {
 		t.Error("span streamed after detach")
 	}
-	if len(tr.Spans()) != 2 {
-		t.Errorf("ring lost spans on detach: %d", len(tr.Spans()))
+	if tr.SpansTotal() != 2 {
+		t.Errorf("SpansTotal = %d after detach, want 2 (counting must not depend on the sink)", tr.SpansTotal())
 	}
 }
 
@@ -104,7 +103,7 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 }
 
 // TestTracerBlockedSinkDoesNotStall is the regression for the streaming
-// stall: record used to JSON-encode to the sink while holding the ring
+// stall: span completion used to JSON-encode to the sink while holding a
 // mutex, so one blocked -trace writer froze every instrumented hot path.
 // Now encoding runs on a drain goroutine behind a bounded queue; Start/End
 // on other goroutines must complete (dropping overflow spans) while the
@@ -132,8 +131,8 @@ func TestTracerBlockedSinkDoesNotStall(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Start/End stalled behind a blocked stream sink")
 	}
-	if got := tr.Total(); got != n+1 {
-		t.Errorf("Total = %d, want %d (ring must record every span)", got, n+1)
+	if got := tr.SpansTotal(); got != n+1 {
+		t.Errorf("SpansTotal = %d, want %d (every span must be counted)", got, n+1)
 	}
 	if tr.Dropped() == 0 {
 		t.Error("expected overflow spans to be counted as dropped")
@@ -146,16 +145,17 @@ func TestTracerBlockedSinkDoesNotStall(t *testing.T) {
 	}
 }
 
-// TestNilTracerSafe: a nil tracer and the nil Active it returns must
+// TestNilTracerSafe: a nil tracer and the nil Span it returns must
 // absorb the whole span API.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.StreamTo(nil)
 	sp := tr.Start("x", String("k", "v"))
 	sp.SetAttr("k2", "v2")
+	sp.StartChild("sub").End()
 	sp.End()
-	if tr.Spans() != nil || tr.Total() != 0 {
-		t.Error("nil tracer retained spans")
+	if tr.SpansTotal() != 0 || tr.Dropped() != 0 {
+		t.Error("nil tracer counted spans")
 	}
 	if err := tr.Flush(); err != nil {
 		t.Error(err)

@@ -121,6 +121,40 @@ func TestServeV2AllocBudgetObserved(t *testing.T) {
 	t.Logf("instrumented v2 round trip: %.1f allocs/op (budget %d)", got, ServeV2AllocBudget)
 }
 
+// ServeV2AllocBudgetTraced is the round-trip budget of the configuration
+// hhcd -listen runs: metrics plus the tracer's flight recorder, with no
+// -trace sink. Measured: 19 allocs/op (23 under -race): the untraced 9
+// plus the request tree — the trace handle, the Req, four phase spans, the
+// minted rid and the u/v attr text. A finished tree is recorded, not
+// copied, and the budget is the -race count with no margin, so any new
+// per-request allocation fails here.
+const ServeV2AllocBudgetTraced = 23
+
+// TestServeV2AllocBudgetTraced pins the recorder's per-request cost, so a
+// new per-request copy of the tree (or a per-span allocation) fails here.
+func TestServeV2AllocBudgetTraced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is noisy under -short race runs")
+	}
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(0)
+	obs.RegisterSelf(reg, tr, true)
+	c, u, v := allocSetupWith(t, Config{M: 3, Reg: reg, Requests: tr})
+	var resp ResponseV2
+	got := testing.AllocsPerRun(2000, func() {
+		if err := c.PathsV2(u, v, 0, time.Second, &resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ServeV2AllocBudgetTraced {
+		t.Errorf("traced v2 round trip allocates %.1f allocs/op, budget %d", got, ServeV2AllocBudgetTraced)
+	}
+	if total, _ := tr.Totals(); total == 0 {
+		t.Error("traced run recorded no request trees")
+	}
+	t.Logf("traced v2 round trip: %.1f allocs/op (budget %d)", got, ServeV2AllocBudgetTraced)
+}
+
 func BenchmarkServeV2Paths(b *testing.B) {
 	c, u, v := allocSetup(b)
 	var resp ResponseV2

@@ -186,11 +186,11 @@ func (s *Server) ExecExemplars() []obs.Exemplar {
 // whether request tracing is on.
 type reqTrace struct {
 	q     *obs.Req
-	admit *obs.ReqSpan
-	fwd   *obs.ReqSpan
-	queue *obs.ReqSpan
-	exec  *obs.ReqSpan
-	enc   *obs.ReqSpan
+	admit *obs.Span
+	fwd   *obs.Span
+	queue *obs.Span
+	exec  *obs.Span
+	enc   *obs.Span
 }
 
 // beginTrace opens a request trace with its admission span. origin is the
@@ -204,7 +204,7 @@ func (s *Server) beginTrace(op, rid, remote, origin string) *reqTrace {
 	}
 	q := s.cfg.Requests.StartRequest(op, rid, obs.String("peer", remote))
 	q.SetOrigin(origin)
-	return &reqTrace{q: q, admit: q.StartSpan("admission")}
+	return &reqTrace{q: q, admit: q.StartSpan(obs.PhaseAdmission)}
 }
 
 // id returns the trace's request id ("" when tracing is off), which the
@@ -258,7 +258,7 @@ func (t *reqTrace) endAdmission() {
 // fallback's queue span).
 func (t *reqTrace) startForward() {
 	if t != nil {
-		t.fwd = t.q.StartSpan("forward")
+		t.fwd = t.q.StartSpan(obs.PhaseForward)
 	}
 }
 
@@ -292,23 +292,23 @@ func (t *reqTrace) endForwardWith(peer string, queueNS, execNS int64) {
 	at := fwd.Start
 	if queueNS > 0 {
 		fwd.Children = append(fwd.Children,
-			&obs.ReqSpan{Name: "remote_queue", Start: at, Dur: queueNS})
+			&obs.Span{Name: obs.PhaseRemoteQueue, Start: at, Dur: queueNS})
 		at += queueNS
 	}
 	if execNS > 0 {
 		fwd.Children = append(fwd.Children,
-			&obs.ReqSpan{Name: "remote_exec", Start: at, Dur: execNS})
+			&obs.Span{Name: obs.PhaseRemoteExec, Start: at, Dur: execNS})
 		at += execNS
 	}
 	if wire := fwd.Dur - queueNS - execNS; wire > 0 {
 		fwd.Children = append(fwd.Children,
-			&obs.ReqSpan{Name: "wire", Start: at, Dur: wire})
+			&obs.Span{Name: obs.PhaseWire, Start: at, Dur: wire})
 	}
 }
 
 func (t *reqTrace) startQueue() {
 	if t != nil {
-		t.queue = t.q.StartSpan("queue")
+		t.queue = t.q.StartSpan(obs.PhaseQueue)
 	}
 }
 
@@ -321,7 +321,7 @@ func (t *reqTrace) endQueue() {
 
 func (t *reqTrace) startExec() {
 	if t != nil {
-		t.exec = t.q.StartSpan("exec")
+		t.exec = t.q.StartSpan(obs.PhaseExec)
 	}
 }
 
@@ -334,7 +334,7 @@ func (t *reqTrace) endExec() {
 
 func (t *reqTrace) startEncode() {
 	if t != nil {
-		t.enc = t.q.StartSpan("encode")
+		t.enc = t.q.StartSpan(obs.PhaseEncode)
 	}
 }
 

@@ -127,9 +127,10 @@ type Config struct {
 	// event and per non-OK response. Nil disables logging at zero cost.
 	Logger *obs.Logger
 	// Requests, when non-nil, records a span tree per request (admission,
-	// queue wait, execution, encode) into the flight recorder behind
-	// /debug/requests. Nil disables request tracing at zero cost.
-	Requests *obs.RequestTracer
+	// queue wait, execution, encode) into the tracer's flight recorder
+	// behind /debug/requests, and onto its -trace stream when one is
+	// attached. Nil disables request tracing at zero cost.
+	Requests *obs.Tracer
 	// Router, when non-nil, shards the query space across cluster peers:
 	// path/route queries whose canonical key this process does not own are
 	// relayed to the owner (at most once — see the wire's forwarded bit)
@@ -269,6 +270,20 @@ type task struct {
 	// a peer hop, so this server must answer it locally whatever the ring says.
 	forwarded bool
 	key       coalesceKey
+	// admitted is claimed by whichever side first sees the task in the
+	// queue, so Admitted counts it exactly once (see countAdmitted).
+	admitted atomic.Bool
+}
+
+// countAdmitted counts t into Admitted exactly once. The reader claims it
+// after its send succeeds and the worker claims it on dequeue, before it
+// completes the task, so no task is answered before it is counted and
+// Admitted >= Completed holds at every scrape. A shed task was never sent
+// and is never counted, so the counter never goes backwards.
+func (s *Server) countAdmitted(t *task) {
+	if t.admitted.CompareAndSwap(false, true) {
+		s.counters.Admitted.Inc()
+	}
 }
 
 // flight collects the waiters coalesced onto one in-flight query.
@@ -849,14 +864,14 @@ func (s *Server) admitLocal(t *task) {
 	t.pc.pending.Add(1)
 	select {
 	case s.queue <- t:
-		s.counters.Admitted.Inc()
+		s.countAdmitted(t)
 		return
 	default:
 	}
 	if s.cfg.Admission == AdmitBlock {
 		select {
 		case s.queue <- t:
-			s.counters.Admitted.Inc()
+			s.countAdmitted(t)
 			return
 		case <-s.quit:
 			s.deliverAll(t, outcome{code: CodeShutdown, errMsg: ErrShutdown.Error()})
@@ -975,6 +990,7 @@ func (s *Server) fallbackLocal(t *task) {
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for t := range s.queue {
+		s.countAdmitted(t)
 		wait := time.Since(t.enqueued)
 		s.met.observeQueueWait(wait)
 		t.queueNS = int64(wait)

@@ -15,7 +15,7 @@ import (
 )
 
 func TestServerTimingFields(t *testing.T) {
-	rt := obs.NewRequestTracer(8)
+	rt := obs.NewTracer(8)
 	_, addr := startServer(t, Config{M: 3, Requests: rt})
 	c := dial(t, addr)
 
@@ -119,7 +119,7 @@ func TestCoalescedTiming(t *testing.T) {
 // TestRequestTraceRecorded: a served request leaves a span tree covering
 // admission, queue wait, execution, and encode in the flight recorder.
 func TestRequestTraceRecorded(t *testing.T) {
-	rt := obs.NewRequestTracer(8)
+	rt := obs.NewTracer(8)
 	_, addr := startServer(t, Config{M: 3, Requests: rt})
 	c := dial(t, addr)
 	if _, err := c.Paths("0x0:0", "0xff:7", 0, 0); err != nil {
@@ -171,7 +171,7 @@ func TestRequestTraceRecorded(t *testing.T) {
 // the recorder's slow bucket even when they would not rank among the K
 // slowest of a busy server.
 func TestSlowThresholdForceRetains(t *testing.T) {
-	rt := obs.NewRequestTracer(8)
+	rt := obs.NewTracer(8)
 	rt.SetSlowThreshold(time.Nanosecond) // everything is slow
 	_, addr := startServer(t, Config{M: 3, Requests: rt})
 	c := dial(t, addr)
@@ -242,12 +242,10 @@ func (b *syncBuffer) String() string {
 func TestObservedServingHammer(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
-	flat := obs.NewTracer(128)
-	flat.StreamTo(io.Discard)
-	defer flat.StreamTo(nil)
-	rt := obs.NewRequestTracer(16)
+	rt := obs.NewTracer(16)
+	rt.StreamTo(io.Discard)
+	defer rt.StreamTo(nil)
 	rt.SetSlowThreshold(time.Microsecond)
-	rt.Mirror(flat)
 	lg := obs.NewLogger(io.Discard, obs.LevelInfo)
 	_, addr := startServer(t, Config{
 		M: 3, Workers: 2, QueueDepth: 16,
