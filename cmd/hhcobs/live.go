@@ -86,7 +86,7 @@ func runLive(w io.Writer, args []string, o liveOpts) error {
 func poll(client *http.Client, addr string) liveFrame {
 	f := liveFrame{addr: addr, at: time.Now()}
 	base := "http://" + addr
-	if err := scrapeJSON(client, base+"/debug/series", &f.series); err != nil {
+	if err := scrapeJSON(client, base+seriesWindow, &f.series); err != nil {
 		f.err = fmt.Errorf("%s/debug/series: %w (is the server running with -listen?)", base, err)
 		return f
 	}
@@ -156,16 +156,16 @@ func renderFleet(w io.Writer, rows []liveFrame) {
 			fmt.Fprintf(w, "  %-22s unreachable: %v\n", r.addr, r.err)
 			continue
 		}
-		p, prom := latestPoint(r.series), r.metrics
+		p, lat := latestPoint(r.series), requestLatency(r.series)
 		fmt.Fprintf(w, "  %-22s %8s %10s %10s %10s %10s %9s %5d\n",
 			r.addr,
 			fmtRate(p.Rates["pathsvc_completed_total"]),
-			fmtSecs(prom[`pathsvc_request_seconds_window{q="p50"}`]),
-			fmtSecs(prom[`pathsvc_request_seconds_window{q="p99"}`]),
+			fmtSecs(lat.P50),
+			fmtSecs(lat.P99),
 			fmtRate(p.Rates["cluster_forwarded_total"]),
 			fmtRate(p.Rates["cluster_forwarded_in_total"]),
 			fmtRate(p.Rates["cluster_forward_errors_total"]),
-			peersDown(prom))
+			peersDown(r.metrics))
 	}
 }
 
@@ -179,7 +179,7 @@ func renderServer(w io.Writer, top int, f liveFrame) {
 	fmt.Fprintf(w, "hhcobs -live %s  %s  interval %s  %d/%d points\n\n",
 		f.addr, f.at.Format("15:04:05"),
 		time.Duration(f.series.IntervalNS), len(f.series.Points), f.series.Capacity)
-	renderService(w, last, f.metrics)
+	renderService(w, f.series, f.metrics)
 	renderRates(w, last)
 	renderHists(w, last, f.series.Summary)
 	renderObsHealth(w, f.metrics)
@@ -188,10 +188,11 @@ func renderServer(w io.Writer, top int, f liveFrame) {
 	}
 }
 
-func renderService(w io.Writer, p obs.SeriesPoint, prom map[string]float64) {
+func renderService(w io.Writer, series obs.SeriesSnapshot, prom map[string]float64) {
 	if _, ok := prom["pathsvc_queue_capacity"]; !ok {
 		return
 	}
+	p, lat := latestPoint(series), requestLatency(series)
 	fmt.Fprintf(w, "  service   qps %s  shed %s/s  coalesced %s/s  degraded %s/s\n",
 		fmtRate(p.Rates["pathsvc_completed_total"]),
 		fmtRate(p.Rates["pathsvc_shed_total"]),
@@ -200,10 +201,8 @@ func renderService(w io.Writer, p obs.SeriesPoint, prom map[string]float64) {
 	fmt.Fprintf(w, "  queue     depth %.0f/%.0f  active workers %.0f  open conns %.0f\n",
 		prom["pathsvc_queue_depth"], prom["pathsvc_queue_capacity"],
 		prom["pathsvc_active_workers"], prom["pathsvc_open_conns"])
-	fmt.Fprintf(w, "  latency   p50 %s  p95 %s  p99 %s   (10s window)\n",
-		fmtSecs(prom[`pathsvc_request_seconds_window{q="p50"}`]),
-		fmtSecs(prom[`pathsvc_request_seconds_window{q="p95"}`]),
-		fmtSecs(prom[`pathsvc_request_seconds_window{q="p99"}`]))
+	fmt.Fprintf(w, "  latency   p50 %s  p95 %s  p99 %s   (last %d intervals)\n",
+		fmtSecs(lat.P50), fmtSecs(lat.P95), fmtSecs(lat.P99), len(series.Points))
 	// The sharded-serving line appears only on a cluster peer (hhcd -peers).
 	if _, ok := prom["cluster_forwarded_total"]; ok {
 		fmt.Fprintf(w, "  cluster   %.0f peers (%d down)  fwd-out %s/s  fwd-in %s/s  fwd-errs %s/s  degraded-local %s/s\n",

@@ -11,8 +11,8 @@ import (
 )
 
 // debugServer assembles a fake hhcd debug surface: a registry with the
-// pathsvc metric names, a series ring with one injected interval, and a
-// flight recorder holding a slow request.
+// pathsvc metric names, a series ring with one sampled interval (in which
+// one request took 12ms), and a flight recorder holding a slow request.
 func debugServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -20,7 +20,7 @@ func debugServer(t *testing.T) *httptest.Server {
 	reg.Gauge("pathsvc_queue_capacity", "").Set(64)
 	reg.Gauge("pathsvc_active_workers", "").Set(2)
 	reg.Gauge("pathsvc_open_conns", "").Set(4)
-	reg.Gauge(`pathsvc_request_seconds_window{q="p99"}`, "").Set(0.012)
+	lat := reg.Histogram("pathsvc_request_seconds", "", []float64{0.004, 0.012})
 
 	tr := obs.NewTracer(4)
 	obs.RegisterSelf(reg, tr, true)
@@ -32,6 +32,7 @@ func debugServer(t *testing.T) *httptest.Server {
 	c := reg.Counter("pathsvc_completed_total", "")
 	ring.Sample()
 	c.Add(55)
+	lat.Observe(0.012)
 	ring.Sample()
 
 	mux := obs.Mux(reg)
@@ -61,6 +62,7 @@ func TestOnceRendersDashboard(t *testing.T) {
 		"service   qps ",
 		"shed 0/s",
 		"queue     depth 3/64",
+		"latency   p50 12ms",
 		"p99 12ms",
 		"pathsvc_completed_total",
 		"obs       spans",

@@ -161,7 +161,7 @@ func runCluster(w io.Writer, args []string, spec string, top int, md bool, timeo
 		if err := scrapeJSON(client, base+"/debug/requests?format=json", &ps.snap); err != nil {
 			return fmt.Errorf("%s/debug/requests: %w (is the peer running with -listen and -slow or tracing on?)", base, err)
 		}
-		if err := scrapeJSON(client, base+"/debug/series", &ps.series); err != nil {
+		if err := scrapeJSON(client, base+seriesWindow, &ps.series); err != nil {
 			return fmt.Errorf("%s/debug/series: %w", base, err)
 		}
 		// /debug/cluster names the peer as the fleet knows it (its serve
@@ -205,6 +205,17 @@ func splitAddrs(name, spec string) ([]string, error) {
 	return addrs, nil
 }
 
+// seriesWindow is the /debug/series query every live view reads: the
+// last 10 interval points, whose summary is the one windowed latency
+// quantile the tool shows (10s at the default one-second interval).
+const seriesWindow = "/debug/series?last=10"
+
+// requestLatency is the windowed end-to-end latency of one scraped
+// server: the series summary of its pathsvc_request_seconds histogram.
+func requestLatency(s obs.SeriesSnapshot) obs.HistPoint {
+	return s.Summary["pathsvc_request_seconds"]
+}
+
 // scrape GETs url and hands a 200 response body to read.
 func scrape(client *http.Client, url string, read func(io.Reader) error) error {
 	resp, err := client.Get(url)
@@ -222,22 +233,14 @@ func scrapeJSON(client *http.Client, url string, into any) error {
 	return scrape(client, url, func(r io.Reader) error { return json.NewDecoder(r).Decode(into) })
 }
 
-// fleetTable is one row per scraped peer: totals from the flight recorder
-// and the current qps/latency window from the series ring.
+// fleetTable is one row per scraped peer: totals from the flight recorder,
+// the newest interval's qps and the windowed latency from the series ring.
 func fleetTable(peers []peerScrape) table {
 	tb := stats.NewTable("fleet", "peer", "requests", "errored", "retained", "qps", "p50(ms)", "p99(ms)")
 	for _, ps := range peers {
-		qps, p50, p99 := 0.0, 0.0, 0.0
-		if n := len(ps.series.Points); n > 0 {
-			last := ps.series.Points[n-1]
-			qps = last.Rates["pathsvc_completed_total"]
-		}
-		// The summary keys histograms by registry name; the _window family
-		// is a gauge set and never appears here.
-		if h, ok := ps.series.Summary["pathsvc_request_seconds"]; ok {
-			p50, p99 = h.P50*1e3, h.P99*1e3
-		}
-		tb.AddRow(ps.id, ps.snap.Total, ps.snap.Errored, len(ps.traces), qps, p50, p99)
+		qps := latestPoint(ps.series).Rates["pathsvc_completed_total"]
+		lat := requestLatency(ps.series)
+		tb.AddRow(ps.id, ps.snap.Total, ps.snap.Errored, len(ps.traces), qps, lat.P50*1e3, lat.P99*1e3)
 	}
 	return table{tb}
 }

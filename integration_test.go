@@ -234,8 +234,8 @@ func TestExperimentRegistryComplete(t *testing.T) {
 // served over /debug/series; an idle phase followed by a load burst must
 // be visible in the endpoint's payload — zero-rate intervals first, then
 // intervals with nonzero completion rates and latency percentiles — and
-// the windowed quantile gauges must read nonzero while the burst is in
-// the lookback window.
+// the ring's 10-interval windowed quantile must read nonzero while the
+// burst is in the lookback window.
 func TestSeriesRampVisible(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := pathsvc.New(pathsvc.Config{M: 2, Reg: reg})
@@ -338,10 +338,11 @@ func TestSeriesRampVisible(t *testing.T) {
 	if snap.Summary["pathsvc_request_seconds"].Count == 0 {
 		t.Error("ring summary merged zero request-latency samples")
 	}
-	// The windowed quantile gauges read from the last 10s of one-second
-	// windows, which still contain the burst.
-	if q := reg.Snapshot().Gauges[`pathsvc_request_seconds_window{q="p99"}`]; q <= 0 {
-		t.Errorf("windowed p99 gauge = %g, want > 0 right after a burst", q)
+	// The windowed quantile every live consumer reads (hhcobs -live and
+	// -cluster) summarizes the last 10 intervals, which still hold the
+	// burst.
+	if q := ring.Snapshot(10).Summary["pathsvc_request_seconds"].P99; q <= 0 {
+		t.Errorf("windowed p99 = %g, want > 0 right after a burst", q)
 	}
 }
 

@@ -11,16 +11,14 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 		tr *Tracer
 		lg *Logger
 		rt *Tracer
-		wc *WindowCounter
-		wh *WindowHistogram
+		h  *Histogram
 	)
 	q := rt.StartRequest("op", "")
 	cases := map[string]func(){
-		"window": func() {
-			wc.Inc()
-			wc.Add(3)
-			wh.Observe(0.001)
-			wh.ObserveDuration(0)
+		"histogram": func() {
+			h.Observe(0.001)
+			h.ObserveDurationEx(0, "rid")
+			_ = h.Exemplars()
 		},
 		"tracer": func() {
 			sp := tr.Start("x")

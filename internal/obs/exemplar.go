@@ -3,15 +3,14 @@ package obs
 import (
 	"strconv"
 	"sync"
-	"time"
 )
 
-// This file attaches exemplars to window histograms: a short ring of
-// recent request ids per bucket, so a fat p99 bucket on /debug/series
-// links directly to retrievable traces in /debug/requests instead of
-// being an anonymous count. Exemplars are opt-in (EnableExemplars) and
-// only recorded for observations that carry a rid — the untraced hot
-// path pays nothing.
+// This file attaches exemplars to histograms: a short ring of recent
+// request ids per bucket, so a fat p99 bucket on /debug/series links
+// directly to retrievable traces in /debug/requests instead of being an
+// anonymous count. Exemplars are opt-in (EnableExemplars) and only
+// recorded for observations that carry a rid (Histogram.ObserveEx) — the
+// untraced hot path pays nothing.
 
 // DefaultExemplarK is the per-bucket exemplar retention.
 const DefaultExemplarK = 4
@@ -46,10 +45,11 @@ type exemplarStore struct {
 }
 
 // EnableExemplars turns on per-bucket exemplar retention (k <= 0 selects
-// DefaultExemplarK). Call once at wiring time, before observations start;
-// nil-safe.
-func (h *WindowHistogram) EnableExemplars(k int) {
-	if h == nil {
+// DefaultExemplarK). Nil-safe and idempotent: a histogram shared through
+// one registry keeps the store its first caller installed, even while
+// another holder is already observing into it.
+func (h *Histogram) EnableExemplars(k int) {
+	if h == nil || h.ex.Load() != nil {
 		return
 	}
 	if k <= 0 {
@@ -65,27 +65,7 @@ func (h *WindowHistogram) EnableExemplars(k int) {
 	for i := range st.rings {
 		st.rings[i] = make([]exemplarCell, k)
 	}
-	h.ex = st
-}
-
-// ObserveEx records one sample, retaining (rid, v) as the bucket's newest
-// exemplar when rid is non-empty and exemplars are enabled. An empty rid
-// degrades to a plain Observe — the zero-allocation untraced path.
-func (h *WindowHistogram) ObserveEx(v float64, rid string) {
-	if h == nil {
-		return
-	}
-	now := time.Now()
-	h.observeAt(now, v)
-	if rid == "" || h.ex == nil {
-		return
-	}
-	h.ex.add(bucketIndex(h.bounds, v), v, rid, now.UnixNano())
-}
-
-// ObserveDurationEx records a duration in seconds with an exemplar rid.
-func (h *WindowHistogram) ObserveDurationEx(d time.Duration, rid string) {
-	h.ObserveEx(d.Seconds(), rid)
+	h.ex.CompareAndSwap(nil, st)
 }
 
 func (st *exemplarStore) add(bucket int, v float64, rid string, atNS int64) {
@@ -102,11 +82,14 @@ func (st *exemplarStore) add(bucket int, v float64, rid string, atNS int64) {
 // Exemplars returns the retained exemplars, buckets in ascending bound
 // order and newest-first within a bucket. Empty (never nil semantics —
 // a nil histogram or disabled store reads as no exemplars).
-func (h *WindowHistogram) Exemplars() []Exemplar {
-	if h == nil || h.ex == nil {
+func (h *Histogram) Exemplars() []Exemplar {
+	if h == nil {
 		return nil
 	}
-	st := h.ex
+	st := h.ex.Load()
+	if st == nil {
+		return nil
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var out []Exemplar

@@ -20,6 +20,10 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
 	count  atomic.Int64
 	sum    Gauge // atomic float64 accumulator
+
+	// ex retains per-bucket exemplar rids (see exemplar.go); nil until
+	// EnableExemplars.
+	ex atomic.Pointer[exemplarStore]
 }
 
 // DefLatencyBuckets covers construction latencies from 1µs to 10s, the
@@ -64,7 +68,12 @@ func NewHistogram(buckets []float64) *Histogram {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveEx(v, "") }
+
+// ObserveEx records one sample, retaining (rid, v) as the bucket's newest
+// exemplar when rid is non-empty and exemplars are enabled. An empty rid
+// is a plain Observe — the zero-allocation untraced path.
+func (h *Histogram) ObserveEx(v float64, rid string) {
 	if h == nil {
 		return
 	}
@@ -72,10 +81,20 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	if rid != "" {
+		if st := h.ex.Load(); st != nil {
+			st.add(i, v, rid, time.Now().UnixNano())
+		}
+	}
 }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+
+// ObserveDurationEx records a duration in seconds with an exemplar rid.
+func (h *Histogram) ObserveDurationEx(d time.Duration, rid string) {
+	h.ObserveEx(d.Seconds(), rid)
+}
 
 // Count returns the number of observations so far.
 func (h *Histogram) Count() int64 {

@@ -171,9 +171,10 @@ type SeriesRing struct {
 	prev   RegistrySnapshot // guarded by mu
 	primed bool             // guarded by mu
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	startOnce sync.Once
+	stopOnce  sync.Once
+	stop      chan struct{}
+	done      chan struct{} // closed when the sampler exits, or by a Stop that precedes Start
 }
 
 // NewSeriesRing builds a ring sampling reg every interval, retaining
@@ -199,32 +200,34 @@ func NewSeriesRing(reg *Registry, interval time.Duration, capacity int) *SeriesR
 func (s *SeriesRing) Interval() time.Duration { return s.interval }
 
 // Start launches the background sampler: the baseline snapshot is primed
-// immediately, then every tick appends one interval point.
+// immediately, then every tick appends one interval point. Only the first
+// call starts a sampler; later calls, and any call after Stop, do nothing.
 func (s *SeriesRing) Start() {
-	go func() {
-		defer close(s.done)
-		s.Sample()
-		t := time.NewTicker(s.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.Sample()
-			}
+	s.startOnce.Do(func() { go s.run() })
+}
+
+func (s *SeriesRing) run() {
+	defer close(s.done)
+	s.Sample()
+	t := time.NewTicker(s.interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-t.C:
+			s.Sample()
 		}
-	}()
+	}
 }
 
 // Stop halts the sampler and waits for it to exit. Safe to call more
-// than once, and before Start (the ring is then just never sampled).
+// than once, and before Start: it then returns at once and the ring is
+// never sampled in the background.
 func (s *SeriesRing) Stop() {
+	s.startOnce.Do(func() { close(s.done) }) // never started: no sampler to wait for
 	s.stopOnce.Do(func() { close(s.stop) })
-	select {
-	case <-s.done:
-	case <-time.After(s.interval + time.Second):
-	}
+	<-s.done
 }
 
 // Sample takes one registry snapshot and appends the delta against the

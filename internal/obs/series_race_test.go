@@ -2,6 +2,8 @@ package obs
 
 import (
 	"io"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -75,5 +77,68 @@ func TestSeriesRingHammer(t *testing.T) {
 	after := s.Points(0)
 	if len(before) != len(after) {
 		t.Fatalf("ring still sampling after Stop: %d -> %d points", len(before), len(after))
+	}
+}
+
+// TestWindowConcurrent hammers the one windowed latency path: writers
+// record rid-tagged samples into an exemplar-enabled registry histogram
+// while the ring's sampler windows its bucket deltas and readers pull
+// exemplars and snapshots. Under -race this pins the exemplar store and
+// the histogram against the sampler; afterwards the per-interval counts
+// must add up to exactly the samples recorded (a ring large enough that
+// no interval is evicted).
+func TestWindowConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("window_hammer_seconds", "", DefLatencyBuckets)
+	h.EnableExemplars(DefaultExemplarK)
+	ring := NewSeriesRing(reg, time.Millisecond, 1<<14)
+	ring.Sample() // baseline before the first write
+	ring.Start()
+
+	const writers, perWriter = 8, 2000
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = h.Exemplars()
+					_ = h.Snapshot().Count
+					_ = ring.Snapshot(10).Summary
+				}
+			}
+		}()
+	}
+	var ww sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func(seed int64) {
+			defer ww.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < perWriter; i++ {
+				rid := ""
+				if i%16 == 0 {
+					rid = "w" + strconv.FormatInt(seed, 10)
+				}
+				h.ObserveEx(r.Float64(), rid)
+			}
+		}(int64(w))
+	}
+	ww.Wait()
+	close(stop)
+	readers.Wait()
+	ring.Stop()
+	ring.Sample() // fold in whatever landed after the sampler's last tick
+
+	if got := ring.Snapshot(0).Summary["window_hammer_seconds"].Count; got != writers*perWriter {
+		t.Errorf("windowed count = %d, want %d", got, writers*perWriter)
+	}
+	if len(h.Exemplars()) == 0 {
+		t.Error("no exemplars retained from rid-tagged samples")
 	}
 }

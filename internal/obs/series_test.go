@@ -122,6 +122,51 @@ func TestSeriesRingStartStop(t *testing.T) {
 	}
 }
 
+// TestSeriesRingStopBeforeStart: stopping a ring that never started has
+// no sampler to wait for, so it must return at once, and a Start after it
+// must not launch one.
+func TestSeriesRingStopBeforeStart(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("z_total", "")
+	ring := NewSeriesRing(reg, 50*time.Millisecond, 16)
+	begin := time.Now()
+	ring.Stop()
+	ring.Stop()
+	if d := time.Since(begin); d > 500*time.Millisecond {
+		t.Fatalf("Stop before Start took %s, want immediate", d)
+	}
+	ring.Start()
+	c.Inc()
+	time.Sleep(3 * ring.Interval())
+	if pts := ring.Points(0); len(pts) != 0 {
+		t.Fatalf("Start after Stop sampled %d points, want 0", len(pts))
+	}
+}
+
+// TestSeriesRingStartIdempotent: a second Start must neither panic nor
+// launch a second sampler; one Stop then ends the only one.
+func TestSeriesRingStartIdempotent(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("w_total", "")
+	ring := NewSeriesRing(reg, 5*time.Millisecond, 64)
+	ring.Start()
+	ring.Start()
+	deadline := time.Now().Add(2 * time.Second)
+	for len(ring.Points(0)) < 2 && time.Now().Before(deadline) {
+		c.Inc()
+		time.Sleep(time.Millisecond)
+	}
+	ring.Stop()
+	if n := len(ring.Points(0)); n < 2 {
+		t.Fatalf("sampler produced %d points, want >= 2", n)
+	}
+	before := len(ring.Points(0))
+	time.Sleep(4 * ring.Interval())
+	if after := len(ring.Points(0)); after != before {
+		t.Fatalf("ring still sampling after Stop: %d -> %d points", before, after)
+	}
+}
+
 // goldenRing injects fixed interval points, so the /debug/series payload
 // is fully deterministic.
 func goldenRing() *SeriesRing {

@@ -95,8 +95,8 @@ func TestServeV2AllocBudget(t *testing.T) {
 }
 
 // TestServeV2AllocBudgetObserved re-runs the budget with metrics enabled:
-// the window histograms record on every request (and rotate once per
-// second), so this pins the claim that windowed telemetry rides the
+// every round trip records into the three latency histograms (request,
+// queue wait, exec), so this pins the claim that telemetry rides the
 // observer-pointer pattern without adding steady-state allocations.
 func TestServeV2AllocBudgetObserved(t *testing.T) {
 	if testing.Short() {
@@ -105,7 +105,8 @@ func TestServeV2AllocBudgetObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, u, v := allocSetupWith(t, Config{M: 3, Reg: reg})
 	var resp ResponseV2
-	got := testing.AllocsPerRun(400, func() {
+	const runs = 400
+	got := testing.AllocsPerRun(runs, func() {
 		if err := c.PathsV2(u, v, 0, time.Second, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +114,16 @@ func TestServeV2AllocBudgetObserved(t *testing.T) {
 	if got > ServeV2AllocBudget {
 		t.Errorf("instrumented v2 round trip allocates %.1f allocs/op, budget %d", got, ServeV2AllocBudget)
 	}
-	// The windows must actually have recorded: an accidentally nil-ed
-	// svcMetrics would pass the budget while dropping every sample.
-	if q := reg.Snapshot(); q.Counters["pathsvc_completed_total"] == 0 {
-		t.Error("instrumented run recorded no completed requests")
+	// Each measured round trip must have been recorded in every latency
+	// histogram: an accidentally nil-ed svcMetrics, or a dropped observe
+	// site, would pass the budget while losing samples. (The request
+	// sample lands just after the response is written; the warm-up round
+	// trips keep the count above runs regardless.)
+	hists := reg.Snapshot().Histograms
+	for _, name := range []string{"pathsvc_request_seconds", "pathsvc_queue_wait_seconds", "pathsvc_exec_seconds"} {
+		if n := hists[name].Count; n < runs {
+			t.Errorf("%s count = %d, want >= %d round trips", name, n, runs)
+		}
 	}
 	t.Logf("instrumented v2 round trip: %.1f allocs/op (budget %d)", got, ServeV2AllocBudget)
 }

@@ -12,24 +12,14 @@ import (
 // convention. The stats.Counters on Server stay the single source of truth
 // (always on, atomic); the registry reads them through callbacks at
 // snapshot time. Only the latency histograms are obs-native, and their
-// observation sites route through the nil-safe methods below.
+// observation sites route through the nil-safe methods below. Each sample
+// is recorded once, cumulatively; live quantiles come from the series
+// ring's per-interval bucket deltas (/debug/series).
 type svcMetrics struct {
 	requestSeconds   *obs.Histogram
 	queueWaitSeconds *obs.Histogram
-
-	// Rotating windows behind the cumulative histograms: the same samples,
-	// but scoped to the last windowQuantileSpan seconds so /metrics can
-	// report live quantiles that recover after a load spike instead of
-	// averaging over the process lifetime.
-	requestWindow   *obs.WindowHistogram
-	queueWaitWindow *obs.WindowHistogram
-	execWindow      *obs.WindowHistogram
+	execSeconds      *obs.Histogram
 }
-
-// windowQuantileSpan is how many one-second windows the live quantile
-// gauges merge over. Ten seconds is long enough to smooth scrape jitter
-// and short enough that a burst stops dominating the readout quickly.
-const windowQuantileSpan = 10
 
 // newSvcMetrics registers the pathsvc_* metric set in reg and returns the
 // histogram handles the serving path feeds.
@@ -71,34 +61,15 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 		queueWaitSeconds: reg.Histogram("pathsvc_queue_wait_seconds",
 			"Time admitted requests spent waiting for a worker.",
 			obs.DefLatencyBuckets),
-		requestWindow: obs.NewWindowHistogram(
-			obs.DefaultWindowWidth, obs.DefaultWindowCount, obs.DefLatencyBuckets),
-		queueWaitWindow: obs.NewWindowHistogram(
-			obs.DefaultWindowWidth, obs.DefaultWindowCount, obs.DefLatencyBuckets),
-		execWindow: obs.NewWindowHistogram(
-			obs.DefaultWindowWidth, obs.DefaultWindowCount, obs.DefLatencyBuckets),
+		execSeconds: reg.Histogram("pathsvc_exec_seconds",
+			"Construction/execution latency, once per executed task (coalesced recipients share it).",
+			obs.DefLatencyBuckets),
 	}
 	// Exemplars tie fat latency buckets to retrievable rids in
 	// /debug/requests. Only rid-carrying observations record one, so the
 	// untraced hot path keeps its fixed allocation budget.
-	m.requestWindow.EnableExemplars(obs.DefaultExemplarK)
-	m.execWindow.EnableExemplars(obs.DefaultExemplarK)
-	windowed := func(name, help string, w *obs.WindowHistogram) {
-		for _, q := range []struct {
-			label string
-			p     float64
-		}{{"p50", 50}, {"p95", 95}, {"p99", 99}} {
-			p := q.p
-			reg.GaugeFunc(name+`{q="`+q.label+`"}`, help,
-				func() float64 { return w.Quantile(windowQuantileSpan, p) })
-		}
-	}
-	windowed("pathsvc_request_seconds_window",
-		"End-to-end latency quantile over the last 10s (0 when idle).", m.requestWindow)
-	windowed("pathsvc_queue_wait_seconds_window",
-		"Queue-wait quantile over the last 10s (0 when idle).", m.queueWaitWindow)
-	windowed("pathsvc_exec_seconds_window",
-		"Construction/execution quantile over the last 10s (0 when idle).", m.execWindow)
+	m.requestSeconds.EnableExemplars(obs.DefaultExemplarK)
+	m.execSeconds.EnableExemplars(obs.DefaultExemplarK)
 	if s.cfg.Router != nil {
 		reg.CounterFunc("cluster_forwarded_total",
 			"Non-owned queries answered through their owning peer.", s.counters.Forwarded.Load)
@@ -134,8 +105,7 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 // bucket exemplar when the request carried a rid. Nil-safe.
 func (m *svcMetrics) observeRequest(d time.Duration, rid string) {
 	if m != nil {
-		m.requestSeconds.ObserveDuration(d)
-		m.requestWindow.ObserveDurationEx(d, rid)
+		m.requestSeconds.ObserveDurationEx(d, rid)
 	}
 }
 
@@ -143,7 +113,6 @@ func (m *svcMetrics) observeRequest(d time.Duration, rid string) {
 func (m *svcMetrics) observeQueueWait(d time.Duration) {
 	if m != nil {
 		m.queueWaitSeconds.ObserveDuration(d)
-		m.queueWaitWindow.ObserveDuration(d)
 	}
 }
 
@@ -152,11 +121,11 @@ func (m *svcMetrics) observeQueueWait(d time.Duration) {
 // bucket exemplar when the request carried a rid. Nil-safe.
 func (m *svcMetrics) observeExec(d time.Duration, rid string) {
 	if m != nil {
-		m.execWindow.ObserveDurationEx(d, rid)
+		m.execSeconds.ObserveDurationEx(d, rid)
 	}
 }
 
-// RequestExemplars reports the request-latency window's retained
+// RequestExemplars reports the request-latency histogram's retained
 // exemplars: for each occupied bucket, the K most recent rids whose
 // end-to-end latency landed there, so a fat tail bucket in /debug/series
 // or /debug/cluster links directly to trees in /debug/requests. Empty
@@ -165,15 +134,15 @@ func (s *Server) RequestExemplars() []obs.Exemplar {
 	if s.met == nil {
 		return nil
 	}
-	return s.met.requestWindow.Exemplars()
+	return s.met.requestSeconds.Exemplars()
 }
 
-// ExecExemplars is RequestExemplars for the construction-time window.
+// ExecExemplars is RequestExemplars for the construction-time histogram.
 func (s *Server) ExecExemplars() []obs.Exemplar {
 	if s.met == nil {
 		return nil
 	}
-	return s.met.execWindow.Exemplars()
+	return s.met.execSeconds.Exemplars()
 }
 
 // reqTrace carries one request's span-tree handles across the serving
