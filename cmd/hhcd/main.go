@@ -199,7 +199,13 @@ func run(args []string, obsf *cliutil.Obs, m int, addr string, workers, queue in
 	}()
 
 	err = srv.Serve(ln)
-	fmt.Fprintf(os.Stderr, "hhcd: drained: %s\n", srv.Counters())
+	// Serve returns drained, so every decoded request has its one answer:
+	// the ledger must balance, and a gap is a server bug worth flagging.
+	snap := srv.Counters()
+	fmt.Fprintf(os.Stderr, "hhcd: drained: %s\n", snap)
+	if terminal := snap.Terminal(); terminal != snap.Requests {
+		fmt.Fprintf(os.Stderr, "hhcd: ledger imbalance: requests=%d terminal=%d\n", snap.Requests, terminal)
+	}
 	fmt.Fprintf(os.Stderr, "hhcd: cache: %s\n", srv.CacheSnapshot())
 	if clu != nil {
 		for _, ps := range clu.Status() {

@@ -97,7 +97,10 @@ func TestClusterBannerAfterHealthyStart(t *testing.T) {
 	if !strings.Contains(s, "cluster of 2 peers") {
 		t.Errorf("banner does not describe the cluster:\n%s", s)
 	}
-	if !strings.Contains(s, "drained:") {
-		t.Errorf("no drain summary:\n%s", s)
+	if !strings.Contains(s, "drained:") || !strings.Contains(s, " refused=") {
+		t.Errorf("no drain summary with the refused bucket:\n%s", s)
+	}
+	if strings.Contains(s, "ledger imbalance") {
+		t.Errorf("idle drain reports a ledger imbalance:\n%s", s)
 	}
 }

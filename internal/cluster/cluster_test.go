@@ -62,12 +62,24 @@ func startTestCluster(t *testing.T, n, m int) *testCluster {
 			if err := <-serveErr; err != nil {
 				t.Errorf("Serve: %v", err)
 			}
+			checkLedger(t, srv)
 			cl.Close()
 		})
 		tc.servers = append(tc.servers, srv)
 		tc.clusters = append(tc.clusters, cl)
 	}
 	return tc
+}
+
+// checkLedger asserts the request ledger of a drained server balances:
+// every decoded request was answered into exactly one terminal bucket,
+// whether locally, through its owner, or by a fallback.
+func checkLedger(t *testing.T, srv *pathsvc.Server) {
+	t.Helper()
+	snap := srv.Counters()
+	if terminal := snap.Completed + snap.Deadline + snap.Failed + snap.Shed + snap.Refused; snap.Requests != terminal {
+		t.Errorf("ledger imbalance: requests=%d terminal=%d (%s)", snap.Requests, terminal, snap)
+	}
 }
 
 // stop shuts one peer down mid-test (owner-down scenarios).
@@ -78,6 +90,7 @@ func (tc *testCluster) stop(t *testing.T, i int) {
 	if err := tc.servers[i].Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown peer %d: %v", i, err)
 	}
+	checkLedger(t, tc.servers[i])
 }
 
 // pairOwnedBy finds a query pair the ring assigns to peer `owner`.
@@ -122,6 +135,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		if err := <-soloErr; err != nil {
 			t.Errorf("solo Serve: %v", err)
 		}
+		checkLedger(t, solo)
 	})
 	soloClient, err := pathsvc.Dial(soloLn.Addr().String())
 	if err != nil {

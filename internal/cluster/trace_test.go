@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,6 +61,7 @@ func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.Tracer) {
 			if err := <-serveErr; err != nil {
 				t.Errorf("Serve: %v", err)
 			}
+			checkLedger(t, srv)
 			cl.Close()
 		})
 		tc.servers = append(tc.servers, srv)
@@ -196,6 +198,57 @@ func TestHopGuardDoesNotDuplicateRID(t *testing.T) {
 	}
 	if snap := tc.servers[0].Counters(); snap.Forwarded != 0 || snap.ForwardedIn != 1 {
 		t.Errorf("counters after guarded frame: %s", snap)
+	}
+}
+
+// TestOwnerDownFallbackTrace: a query whose owner is down is answered
+// locally, and its tree shows the whole detour as one phase after
+// another — admission, the failed forward, then the local queue, exec and
+// encode — in order and without overlap.
+func TestOwnerDownFallbackTrace(t *testing.T) {
+	const m, rid = 3, "rid-e2e-fallback"
+	tc, tracers := startTracedCluster(t, 2, m)
+	u, v := tc.pairOwnedBy(t, 1)
+	tc.stop(t, 1)
+
+	c, err := pathsvc.DialWith(tc.addrs[0], pathsvc.DialOptions{Proto: pathsvc.ProtocolV2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var resp pathsvc.ResponseV2
+	if err := c.DoV2(&pathsvc.RequestV2{Op: pathsvc.OpCodePaths, RID: rid, U: u, V: v}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Paths) != m+1 {
+		t.Fatalf("fallback answer has %d paths, want full width %d", len(resp.Paths), m+1)
+	}
+	if snap := tc.servers[0].Counters(); snap.DegradedLoc != 1 || snap.Forwarded != 0 {
+		t.Fatalf("counters after owner-down query: %s", snap)
+	}
+
+	trees := ridTraces(t, tracers[0], rid, 1)
+	if len(trees) != 1 {
+		t.Fatalf("requester recorded %d trees for rid %q, want 1", len(trees), rid)
+	}
+	spans := trees[0].Spans
+	var names []string
+	for _, sp := range spans {
+		names = append(names, sp.Name)
+	}
+	want := []string{obs.PhaseAdmission, obs.PhaseForward, obs.PhaseQueue, obs.PhaseExec, obs.PhaseEncode}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("fallback tree phases = %v, want %v", names, want)
+	}
+	for i := 1; i < len(spans); i++ {
+		// Start is wall clock and Dur monotonic: allow a microsecond of
+		// clock-read jitter at each hand-over.
+		if end := spans[i-1].Start + spans[i-1].Dur; spans[i].Start < end-int64(time.Microsecond) {
+			t.Errorf("%s starts %dns before %s ends", spans[i].Name, end-spans[i].Start, spans[i-1].Name)
+		}
+	}
+	if len(spans[1].Children) != 0 {
+		t.Errorf("failed forward carries remote children %+v; no owner answered", spans[1].Children)
 	}
 }
 

@@ -36,6 +36,10 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 			q2.SetAttr("k", "v")
 			q2.Finish("")
 		},
+		"phase-cursor": func() {
+			q.Phase("phase")
+			q.EndPhase()
+		},
 		"span-tree": func() {
 			s := q.StartSpan("phase")
 			c := s.StartChild("sub")

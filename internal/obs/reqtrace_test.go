@@ -118,6 +118,56 @@ func TestRequestSpanTree(t *testing.T) {
 	}
 }
 
+// TestReqPhaseCursor: phases opened through the cursor come out in call
+// order, each ending before the next begins; EndPhase leaves the request
+// between phases, and Finish closes the phase still open.
+func TestReqPhaseCursor(t *testing.T) {
+	rt := NewTracer(4)
+	q := rt.StartRequest("paths", "c1")
+	if q.EndPhase() != nil {
+		t.Error("EndPhase with no phase open returned a span")
+	}
+	q.Phase("admission")
+	time.Sleep(time.Millisecond)
+	q.Phase("queue")
+	time.Sleep(time.Millisecond)
+	if s := q.EndPhase(); s == nil || s.Name != "queue" || s.Dur <= 0 {
+		t.Fatalf("EndPhase returned %+v, want the ended queue span", s)
+	}
+	if q.EndPhase() != nil {
+		t.Error("second EndPhase returned a span")
+	}
+	time.Sleep(time.Millisecond)
+	q.Phase("encode")
+	time.Sleep(time.Millisecond)
+	q.Finish("")
+
+	snap := rt.Snapshot()
+	if len(snap.Recent) != 1 {
+		t.Fatal("request not recorded")
+	}
+	spans := snap.Recent[0].Spans
+	if got := spanNames(spans); strings.Join(got, ",") != "admission,queue,encode" {
+		t.Fatalf("phases = %v, want admission,queue,encode", got)
+	}
+	for i, s := range spans {
+		if s.Dur <= 0 {
+			t.Errorf("phase %q was never ended (dur %d)", s.Name, s.Dur)
+		}
+		// Start is wall clock and Dur monotonic, so allow a microsecond of
+		// clock-read jitter where one phase hands over to the next.
+		if i > 0 && s.Start < spans[i-1].Start+spans[i-1].Dur-int64(time.Microsecond) {
+			t.Errorf("phase %q starts %dns before %q ends", s.Name,
+				spans[i-1].Start+spans[i-1].Dur-s.Start, spans[i-1].Name)
+		}
+	}
+	// The gap left by EndPhase is a wait in no phase: queue ended about a
+	// millisecond before encode began.
+	if gap := spans[2].Start - (spans[1].Start + spans[1].Dur); gap < int64(time.Millisecond)/2 {
+		t.Errorf("gap between queue and encode = %dns, want ~1ms", gap)
+	}
+}
+
 func TestRequestTraceJSONRoundTrip(t *testing.T) {
 	in := &RequestTrace{
 		ID: "x", Op: "paths", Start: 5, Dur: 9, Code: "overload", Slow: true,
@@ -210,6 +260,10 @@ func TestNilRequestTracerSafe(t *testing.T) {
 	c := s.StartChild("sub")
 	c.End()
 	s.End()
+	q.Phase("phase")
+	if q.EndPhase() != nil {
+		t.Fatal("nil Req ended a live phase")
+	}
 	q.Finish("code")
 	if snap := rt.Snapshot(); snap.Total != 0 || snap.Slowest != nil {
 		t.Errorf("nil snapshot = %+v", snap)

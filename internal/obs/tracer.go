@@ -407,6 +407,9 @@ type Req struct {
 	t     *Tracer
 	begin time.Time
 	tr    RequestTrace
+	// open is the phase cursor: the top-level span Phase opened last,
+	// until EndPhase, the next Phase, or Finish ends it.
+	open *Span
 	// Inline backing for a served request's usual attrs and phase spans,
 	// so recording one grows neither slice.
 	attrs [4]Attr
@@ -456,7 +459,8 @@ func (q *Req) SetOrigin(peer string) {
 	q.tr.Attrs = append(q.tr.Attrs, Attr{Key: "origin", Value: peer})
 }
 
-// StartSpan opens a top-level phase span on the request.
+// StartSpan opens a top-level span on the request beside the phase
+// cursor; the caller ends it.
 func (q *Req) StartSpan(name string, attrs ...Attr) *Span {
 	if q == nil {
 		return nil
@@ -466,13 +470,38 @@ func (q *Req) StartSpan(name string, attrs ...Attr) *Span {
 	return s
 }
 
-// Finish completes the request with its outcome code ("" = OK), hands the
-// tree to the flight recorder, and streams it flattened when a sink is
-// attached. The Req must not be used afterwards.
+// Phase ends the open phase span, if any, and opens a top-level span
+// named name in its place. A request is in one phase at a time, so the
+// phases it records this way come out sequential and never overlap.
+func (q *Req) Phase(name string) {
+	if q == nil {
+		return
+	}
+	q.EndPhase()
+	q.open = q.StartSpan(name)
+}
+
+// EndPhase ends the open phase span and returns it, so the caller can
+// still annotate it; nil when no phase is open.
+func (q *Req) EndPhase() *Span {
+	if q == nil || q.open == nil {
+		return nil
+	}
+	s := q.open
+	q.open = nil
+	s.End()
+	return s
+}
+
+// Finish ends the open phase span, if any, completes the request with its
+// outcome code ("" = OK), hands the tree to the flight recorder, and
+// streams it flattened when a sink is attached. The Req must not be used
+// afterwards.
 func (q *Req) Finish(code string) {
 	if q == nil {
 		return
 	}
+	q.EndPhase()
 	tr := &q.tr
 	tr.Dur = int64(time.Since(q.begin))
 	tr.Code = code

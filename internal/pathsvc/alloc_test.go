@@ -27,6 +27,7 @@ func serveStarted(tb testing.TB, srv *Server) (*Server, string) {
 		if err := <-serveErr; err != nil {
 			tb.Errorf("Serve: %v", err)
 		}
+		checkLedger(tb, srv)
 	})
 	return srv, ln.Addr().String()
 }
@@ -64,10 +65,10 @@ func allocSetup(t testing.TB) (*Client, hhc.Node, hhc.Node) {
 // ServeV2AllocBudget is the explicit steady-state allocation budget for
 // one warm-cache OpPaths round trip over protocol v2, counted across
 // every goroutine on both sides of the loopback (client encode/decode,
-// server read/dispatch/construct/deliver/send). Measured: 9 allocs/op
-// (11 under -race); the dominant terms are inherent — the per-request
-// task, the coalescing flight entry, and the cache's defensive container
-// copy (one outer + m+1 inner slices). The JSON path spends several
+// server read/dispatch/construct/deliver/send). Measured: 8 allocs/op
+// (10 under -race); the dominant terms are inherent — the per-request
+// task and the cache's defensive container copy (one outer + m+1 inner
+// slices). The JSON path spends several
 // hundred allocations on the same round trip. The margin above the
 // measurement absorbs pool refills after an unluckily timed GC, not new
 // hot-path costs.
@@ -130,12 +131,12 @@ func TestServeV2AllocBudgetObserved(t *testing.T) {
 
 // ServeV2AllocBudgetTraced is the round-trip budget of the configuration
 // hhcd -listen runs: metrics plus the tracer's flight recorder, with no
-// -trace sink. Measured: 19 allocs/op (23 under -race): the untraced 9
-// plus the request tree — the trace handle, the Req, four phase spans, the
-// minted rid and the u/v attr text. A finished tree is recorded, not
-// copied, and the budget is the -race count with no margin, so any new
-// per-request allocation fails here.
-const ServeV2AllocBudgetTraced = 23
+// -trace sink. Measured: 17 allocs/op (21 under -race): the untraced 8
+// plus the request tree — the Req (which is also the trace handle), four
+// phase spans, the minted rid and the u/v attr text. A finished tree is
+// recorded, not copied, and the budget is the -race count with no margin,
+// so any new per-request allocation fails here.
+const ServeV2AllocBudgetTraced = 21
 
 // TestServeV2AllocBudgetTraced pins the recorder's per-request cost, so a
 // new per-request copy of the tree (or a per-span allocation) fails here.

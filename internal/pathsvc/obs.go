@@ -31,7 +31,9 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 	reg.CounterFunc("pathsvc_admitted_total",
 		"Requests that entered the work queue.", s.counters.Admitted.Load)
 	reg.CounterFunc("pathsvc_shed_total",
-		"Requests rejected at admission because the queue was full.", s.counters.Shed.Load)
+		"Requests answered overload because the admission queue was full.", s.counters.Shed.Load)
+	reg.CounterFunc("pathsvc_refused_total",
+		"Requests answered shutdown because the server was draining.", s.counters.Refused.Load)
 	reg.CounterFunc("pathsvc_coalesced_total",
 		"Requests answered by piggybacking on an identical in-flight query.", s.counters.Coalesced.Load)
 	reg.CounterFunc("pathsvc_degraded_total",
@@ -145,24 +147,21 @@ func (s *Server) ExecExemplars() []obs.Exemplar {
 	return s.met.execSeconds.Exemplars()
 }
 
-// reqTrace carries one request's span-tree handles across the serving
-// pipeline: admission on the connection's reader goroutine, queue wait and
-// execution on a worker, encode wherever the response is rendered. The
-// channel send that moves a task to a worker (and the inflightMu critical
-// section that attaches a waiter to its leader) provide the happens-before
-// edges obs.Req requires. A nil *reqTrace is the disabled path; every
-// method is nil-receiver safe, so the serving code never branches on
-// whether request tracing is on.
-type reqTrace struct {
-	q     *obs.Req
-	admit *obs.Span
-	fwd   *obs.Span
-	queue *obs.Span
-	exec  *obs.Span
-	enc   *obs.Span
-}
+// reqTrace is one request's span tree as the serving pipeline sees it:
+// an obs.Req whose phase cursor moves through admission, forward, queue,
+// exec and encode. It is the Req itself under a pathsvc name, so tracing
+// a request allocates no handle beyond the Req. Phases move from the
+// connection's reader goroutine to a worker and to wherever the response
+// is rendered; the channel send that moves a task to a worker (and the
+// inflightMu critical section that attaches a waiter to its leader)
+// provide the happens-before edges obs.Req requires. A nil *reqTrace is
+// the disabled path; every method is nil-receiver safe, so the serving
+// code never branches on whether request tracing is on.
+type reqTrace obs.Req
 
-// beginTrace opens a request trace with its admission span. origin is the
+func (t *reqTrace) req() *obs.Req { return (*obs.Req)(t) }
+
+// beginTrace opens a request trace in its admission phase. origin is the
 // forwarding peer's address on a cluster-forwarded request ("" on direct
 // client traffic): the tree is tagged with it, which routes it out of the
 // client-facing slow bucket and marks it as the owner-side half of a
@@ -173,24 +172,16 @@ func (s *Server) beginTrace(op, rid, remote, origin string) *reqTrace {
 	}
 	q := s.cfg.Requests.StartRequest(op, rid, obs.String("peer", remote))
 	q.SetOrigin(origin)
-	return &reqTrace{q: q, admit: q.StartSpan(obs.PhaseAdmission)}
+	q.Phase(obs.PhaseAdmission)
+	return (*reqTrace)(q)
 }
 
 // id returns the trace's request id ("" when tracing is off), which the
 // response echoes so clients can correlate against /debug/requests.
-func (t *reqTrace) id() string {
-	if t == nil {
-		return ""
-	}
-	return t.q.ID()
-}
+func (t *reqTrace) id() string { return t.req().ID() }
 
 // setAttr annotates the request (endpoints, widths, batch sizes).
-func (t *reqTrace) setAttr(key, value string) {
-	if t != nil {
-		t.q.SetAttr(key, value)
-	}
-}
+func (t *reqTrace) setAttr(key, value string) { t.req().SetAttr(key, value) }
 
 // setQuery annotates a traced request with its endpoints (paths, route)
 // or its pair count (batch). Rendering runs only when a tracer is
@@ -201,60 +192,43 @@ func (t *reqTrace) setQuery(op string, u, v hhc.Node, pairs int) {
 	}
 	switch op {
 	case OpPaths, OpRoute:
-		t.q.SetAttr("u", hhc.FormatNodeWire(u))
-		t.q.SetAttr("v", hhc.FormatNodeWire(v))
+		t.setAttr("u", hhc.FormatNodeWire(u))
+		t.setAttr("v", hhc.FormatNodeWire(v))
 	case OpBatch:
-		t.q.SetAttr("pairs", strconv.Itoa(pairs))
+		t.setAttr("pairs", strconv.Itoa(pairs))
 	}
 }
 
 // setWidth records the container width a traced request was served.
 func (t *reqTrace) setWidth(k int) {
 	if t != nil {
-		t.q.SetAttr("width", strconv.Itoa(k))
+		t.setAttr("width", strconv.Itoa(k))
 	}
 }
 
-func (t *reqTrace) endAdmission() {
-	if t != nil && t.admit != nil {
-		t.admit.End()
-		t.admit = nil
-	}
-}
+// phase ends the open phase and opens the named one (an obs.Phase* name).
+func (t *reqTrace) phase(name string) { t.req().Phase(name) }
 
-// startForward / endForward bracket the peer hop of a cluster-forwarded
-// query (between admission and either the owner's answer or the local
-// fallback's queue span).
-func (t *reqTrace) startForward() {
-	if t != nil {
-		t.fwd = t.q.StartSpan(obs.PhaseForward)
-	}
-}
+// endPhase ends the open phase without opening another: the request now
+// waits in no phase of its own (a coalesced waiter, or a task between
+// dequeue and execution).
+func (t *reqTrace) endPhase() { t.req().EndPhase() }
 
-func (t *reqTrace) endForward() {
-	if t != nil && t.fwd != nil {
-		t.fwd.End()
-		t.fwd = nil
-	}
-}
-
-// endForwardWith closes the forward span annotated with the hop's remote
+// endForward ends the forward phase annotated with the hop's remote
 // timing: which peer answered, plus remote_queue / remote_exec / wire
 // child spans synthesized from the owner's relayed queue_ns and exec_ns —
 // so the hop decomposes without scraping the owner. The children are laid
 // out sequentially from the span's start; wire is the residue of the
 // measured hop not explained by the remote phases (clamped at zero
 // against clock jitter).
-func (t *reqTrace) endForwardWith(peer string, queueNS, execNS int64) {
-	if t == nil || t.fwd == nil {
+func (t *reqTrace) endForward(peer string, queueNS, execNS int64) {
+	fwd := t.req().EndPhase()
+	if fwd == nil {
 		return
 	}
-	fwd := t.fwd
 	if peer != "" {
 		fwd.SetAttr("peer", peer)
 	}
-	fwd.End()
-	t.fwd = nil
 	if queueNS <= 0 && execNS <= 0 {
 		return
 	}
@@ -275,58 +249,9 @@ func (t *reqTrace) endForwardWith(peer string, queueNS, execNS int64) {
 	}
 }
 
-func (t *reqTrace) startQueue() {
-	if t != nil {
-		t.queue = t.q.StartSpan(obs.PhaseQueue)
-	}
-}
-
-func (t *reqTrace) endQueue() {
-	if t != nil && t.queue != nil {
-		t.queue.End()
-		t.queue = nil
-	}
-}
-
-func (t *reqTrace) startExec() {
-	if t != nil {
-		t.exec = t.q.StartSpan(obs.PhaseExec)
-	}
-}
-
-func (t *reqTrace) endExec() {
-	if t != nil && t.exec != nil {
-		t.exec.End()
-		t.exec = nil
-	}
-}
-
-func (t *reqTrace) startEncode() {
-	if t != nil {
-		t.enc = t.q.StartSpan(obs.PhaseEncode)
-	}
-}
-
-func (t *reqTrace) endEncode() {
-	if t != nil && t.enc != nil {
-		t.enc.End()
-		t.enc = nil
-	}
-}
-
-// finish closes any phase span still open (shed and refused requests never
-// reach later phases) and hands the tree to the flight recorder.
-func (t *reqTrace) finish(code string) {
-	if t == nil {
-		return
-	}
-	t.endAdmission()
-	t.endForward()
-	t.endQueue()
-	t.endExec()
-	t.endEncode()
-	t.q.Finish(code)
-}
+// finish closes the open phase (shed and refused requests never reach
+// later phases) and hands the tree to the flight recorder.
+func (t *reqTrace) finish(code string) { t.req().Finish(code) }
 
 // logConnOpen / logConnClose emit one structured line per connection
 // event. The Enabled guard keeps the disabled path free of attr-slice

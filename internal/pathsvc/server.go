@@ -164,12 +164,15 @@ type Counters struct {
 	Conns     stats.Counter // accepted connections
 	Requests  stats.Counter // decoded requests of any op
 	Admitted  stats.Counter // requests that entered the work queue
-	Shed      stats.Counter // requests rejected at admission (queue full)
 	Coalesced stats.Counter // requests piggybacked on an identical in-flight query
 	Degraded  stats.Counter // responses truncated below full width by queue pressure
-	Deadline  stats.Counter // requests that missed their deadline
-	Failed    stats.Counter // bad_request / unroutable / internal responses
+	// The terminal buckets: respond counts every decoded request into
+	// exactly one, so Requests equals their sum once the server is idle.
 	Completed stats.Counter // successful responses
+	Deadline  stats.Counter // requests that missed their deadline
+	Shed      stats.Counter // overload answers (queue full), coalesced waiters included
+	Refused   stats.Counter // shutdown answers (the server was draining)
+	Failed    stats.Counter // bad_request / unroutable / internal responses
 	// Cluster-mode ledger (all zero without a Router).
 	Forwarded     stats.Counter // non-owned queries answered through the owning peer
 	ForwardErrors stats.Counter // forwards that failed (peer down, overload, stream broken)
@@ -180,20 +183,26 @@ type Counters struct {
 
 // Snapshot is a point-in-time reading of Counters.
 type Snapshot struct {
-	Conns, Requests, Admitted, Shed, Coalesced                     int64
+	Conns, Requests, Admitted, Shed, Refused, Coalesced            int64
 	Degraded, Deadline, Failed, Completed                          int64
 	Forwarded, ForwardErrors, ForwardedIn, DegradedLoc, BatchLocal int64
 }
 
 // String renders the snapshot on one line for CLI summaries.
 func (s Snapshot) String() string {
-	line := fmt.Sprintf("conns=%d requests=%d admitted=%d shed=%d coalesced=%d degraded=%d deadline=%d failed=%d completed=%d",
-		s.Conns, s.Requests, s.Admitted, s.Shed, s.Coalesced, s.Degraded, s.Deadline, s.Failed, s.Completed)
+	line := fmt.Sprintf("conns=%d requests=%d admitted=%d shed=%d refused=%d coalesced=%d degraded=%d deadline=%d failed=%d completed=%d",
+		s.Conns, s.Requests, s.Admitted, s.Shed, s.Refused, s.Coalesced, s.Degraded, s.Deadline, s.Failed, s.Completed)
 	if s.Forwarded > 0 || s.ForwardErrors > 0 || s.ForwardedIn > 0 || s.DegradedLoc > 0 || s.BatchLocal > 0 {
 		line += fmt.Sprintf(" forwarded=%d fwd_errors=%d fwd_in=%d degraded_local=%d batch_local=%d",
 			s.Forwarded, s.ForwardErrors, s.ForwardedIn, s.DegradedLoc, s.BatchLocal)
 	}
 	return line
+}
+
+// Terminal sums the terminal buckets. Every decoded request lands in
+// exactly one, so a quiescent server has Terminal() == Requests.
+func (s Snapshot) Terminal() int64 {
+	return s.Completed + s.Deadline + s.Failed + s.Shed + s.Refused
 }
 
 // coalesceKey identifies queries that may share one construction: same
@@ -265,11 +274,10 @@ type task struct {
 	batch    []BatchItemV2
 	faults   map[hhc.Node]bool
 	enqueued time.Time
-	lead     bool // owns an entry in Server.inflight
+	lead     bool // owns the entry for {u, v} in Server.inflight
 	// forwarded mirrors the wire's hop-guard bit: the query already crossed
 	// a peer hop, so this server must answer it locally whatever the ring says.
 	forwarded bool
-	key       coalesceKey
 	// admitted is claimed by whichever side first sees the task in the
 	// queue, so Admitted counts it exactly once (see countAdmitted).
 	admitted atomic.Bool
@@ -284,11 +292,6 @@ func (s *Server) countAdmitted(t *task) {
 	if t.admitted.CompareAndSwap(false, true) {
 		s.counters.Admitted.Inc()
 	}
-}
-
-// flight collects the waiters coalesced onto one in-flight query.
-type flight struct {
-	waiters []pendingReq
 }
 
 // outcome is a worker's answer, shared by the leader and all waiters.
@@ -311,9 +314,10 @@ type serverConn struct {
 	remote  string
 	maxSend int
 	wmu     sync.Mutex
-	// pending counts responses owed by the worker pool; the reader waits
-	// for it before closing the connection, so graceful shutdown never
-	// drops an admitted request's answer.
+	// pending counts responses owed on this connection: one reservation
+	// per decoded request, taken where the frame enters (serve, refuse)
+	// and released only by respond. The reader waits for it before
+	// closing the connection, so graceful shutdown never drops an answer.
 	pending sync.WaitGroup
 }
 
@@ -359,8 +363,9 @@ type Server struct {
 	workerWG      sync.WaitGroup
 	activeWorkers atomic.Int64
 
+	// inflight maps each leading query to the waiters coalesced onto it.
 	inflightMu sync.Mutex
-	inflight   map[coalesceKey]*flight // guarded by inflightMu
+	inflight   map[coalesceKey][]pendingReq // guarded by inflightMu
 
 	// fwdSem bounds in-flight peer forwards (nil without a Router); a full
 	// semaphore downgrades to an immediate local answer, so forwards can
@@ -443,7 +448,7 @@ func New(cfg Config) (*Server, error) {
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		inflight: make(map[coalesceKey]*flight),
+		inflight: make(map[coalesceKey][]pendingReq),
 	}
 	if cfg.Router != nil {
 		s.fwdSem = make(chan struct{}, cfg.ForwardConcurrency)
@@ -465,6 +470,7 @@ func (s *Server) Counters() Snapshot {
 		Requests:      s.counters.Requests.Load(),
 		Admitted:      s.counters.Admitted.Load(),
 		Shed:          s.counters.Shed.Load(),
+		Refused:       s.counters.Refused.Load(),
 		Coalesced:     s.counters.Coalesced.Load(),
 		Degraded:      s.counters.Degraded.Load(),
 		Deadline:      s.counters.Deadline.Load(),
@@ -735,15 +741,9 @@ func (s *Server) nodeRangeErr(u hhc.Node) string {
 // racing the drain) with a typed error in its own encoding.
 func (s *Server) refuse(pc *serverConn, req *request, code, msg string) {
 	s.counters.Requests.Inc()
-	s.answer(pendingReq{pc: pc, proto: req.proto, id: req.ID, rid: req.RID, op: req.op,
+	pc.pending.Add(1)
+	s.respond(pendingReq{pc: pc, proto: req.proto, id: req.ID, rid: req.RID, op: req.op,
 		start: time.Now()}, outcome{code: code, errMsg: msg})
-}
-
-// answer responds on the reader goroutine, bypassing the queue.
-func (s *Server) answer(p pendingReq, out outcome) {
-	p.tr.endAdmission()
-	p.pc.pending.Add(1)
-	s.respond(p, out)
 }
 
 // serve is the protocol-independent pipeline: it validates a decoded
@@ -751,9 +751,12 @@ func (s *Server) answer(p pendingReq, out outcome) {
 // It runs on the connection's reader goroutine, so AdmitBlock
 // backpressure parks exactly the connection that is overloading the
 // queue. req is the connection's decode scratch, so everything the task
-// retains past return (faults, batch pairs) is copied out here.
+// retains past return (faults, batch pairs) is copied out here. The
+// response reservation taken here is released by the one respond that
+// answers this request, wherever in the pipeline that happens.
 func (s *Server) serve(pc *serverConn, req *request) {
 	s.counters.Requests.Inc()
+	pc.pending.Add(1)
 	start := time.Now()
 	tr := s.beginTrace(req.op, req.RID, pc.remote, req.Origin)
 	// The echoed request id: the trace id when tracing is on (it adopts a
@@ -768,7 +771,7 @@ func (s *Server) serve(pc *serverConn, req *request) {
 	var msg string
 	switch req.op {
 	case OpPing, OpInfo:
-		s.answer(p, outcome{})
+		s.respond(p, outcome{})
 		return
 	case OpPaths, OpRoute:
 		msg = req.err
@@ -782,7 +785,7 @@ func (s *Server) serve(pc *serverConn, req *request) {
 		msg = fmt.Sprintf("unknown op %q", req.op)
 	}
 	if msg != "" {
-		s.answer(p, outcome{code: CodeBadRequest, errMsg: msg})
+		s.respond(p, outcome{code: CodeBadRequest, errMsg: msg})
 		return
 	}
 
@@ -843,25 +846,22 @@ func (s *Server) admitLocal(t *task) {
 	if t.op == OpPaths {
 		key := coalesceKey{u: t.u, v: t.v}
 		s.inflightMu.Lock()
-		if fl, ok := s.inflight[key]; ok {
+		if waiters, ok := s.inflight[key]; ok {
 			t.coalesced = true
 			t.tr.setAttr("coalesced", "true")
-			t.tr.endAdmission()
-			t.pc.pending.Add(1)
-			fl.waiters = append(fl.waiters, t.pendingReq)
+			t.tr.endPhase()
+			s.inflight[key] = append(waiters, t.pendingReq)
 			s.inflightMu.Unlock()
 			s.counters.Coalesced.Inc()
 			return
 		}
-		s.inflight[key] = &flight{}
+		s.inflight[key] = nil
 		s.inflightMu.Unlock()
-		t.lead, t.key = true, key
+		t.lead = true
 	}
 
 	t.enqueued = time.Now()
-	t.tr.endAdmission()
-	t.tr.startQueue()
-	t.pc.pending.Add(1)
+	t.tr.phase(obs.PhaseQueue)
 	select {
 	case s.queue <- t:
 		s.countAdmitted(t)
@@ -879,7 +879,6 @@ func (s *Server) admitLocal(t *task) {
 		}
 	}
 	// AdmitReject: shed now, with a back-off hint.
-	s.counters.Shed.Inc()
 	s.deliverAll(t, outcome{
 		code:       CodeOverload,
 		errMsg:     ErrOverload.Error(),
@@ -889,13 +888,10 @@ func (s *Server) admitLocal(t *task) {
 
 // forward relays a non-owned query to its owning peer on a dedicated
 // bounded goroutine: forwards must never occupy a construction worker, or
-// two peers forwarding to each other could deadlock both pools. The owed
-// response is reserved (pc.pending) before the reader goroutine moves on,
-// so connection close and graceful drain both account for the in-flight
-// hop.
+// two peers forwarding to each other could deadlock both pools. The
+// request's response reservation (taken in serve) covers the in-flight
+// hop, so connection close and graceful drain both wait for it.
 func (s *Server) forward(t *task) {
-	t.tr.endAdmission()
-	t.pc.pending.Add(1)
 	select {
 	case s.fwdSem <- struct{}{}:
 	default:
@@ -903,10 +899,10 @@ func (s *Server) forward(t *task) {
 		// correct — just a construction the owner's cache would have
 		// absorbed — so shed the hop, not the request.
 		s.counters.DegradedLocal.Inc()
-		s.fallbackLocal(t)
+		s.admitLocal(t)
 		return
 	}
-	t.tr.startForward()
+	t.tr.phase(obs.PhaseForward)
 	s.forwardWG.Add(1)
 	go func() {
 		defer s.forwardWG.Done()
@@ -942,7 +938,6 @@ func (s *Server) runForward(t *task) {
 	}
 	remaining := time.Until(t.deadline)
 	if remaining <= 0 {
-		t.tr.endForward()
 		s.deliverAll(t, outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()})
 		return
 	}
@@ -954,7 +949,7 @@ func (s *Server) runForward(t *task) {
 		// span decomposes into remote queue/exec/wire children, and the
 		// response's queue_ns reports the remote queue wait (this side never
 		// queued, so the field would otherwise read 0 and hide the stall).
-		t.tr.endForwardWith(peer, resp.QueueNS, resp.ExecNS)
+		t.tr.endForward(peer, resp.QueueNS, resp.ExecNS)
 		t.queueNS = resp.QueueNS
 		s.counters.Forwarded.Inc()
 		s.deliverAll(t, outcome{paths: resp.Paths, execNS: resp.ExecNS})
@@ -964,26 +959,17 @@ func (s *Server) runForward(t *task) {
 	if errors.As(err, &se) && !errors.Is(se, ErrOverload) && !errors.Is(se, ErrShutdown) {
 		// The owner reached a verdict (bad_request, unroutable, deadline,
 		// internal): that verdict is the answer — the hop itself worked.
-		t.tr.endForwardWith(peer, resp.QueueNS, resp.ExecNS)
+		t.tr.endForward(peer, resp.QueueNS, resp.ExecNS)
 		s.counters.Forwarded.Inc()
 		s.deliverAll(t, outcome{code: se.Code, errMsg: se.Msg})
 		return
 	}
 	// The peer is unreachable, the stream broke, or the owner is too loaded
-	// to help: degrade to a correctness-preserving local answer.
+	// to help: degrade to a correctness-preserving local answer (its queue
+	// phase, or its coalesced wait, ends the forward span).
 	s.counters.ForwardErrors.Inc()
 	s.counters.DegradedLocal.Inc()
-	s.fallbackLocal(t)
-}
-
-// fallbackLocal re-enters the local admission path for a query whose
-// forward could not run. The pending reservation taken by forward is
-// released only after admitLocal takes its own, so the connection's
-// owed-response count never touches zero with the answer still unsent.
-func (s *Server) fallbackLocal(t *task) {
-	t.tr.endForward()
 	s.admitLocal(t)
-	t.pc.pending.Done()
 }
 
 // worker executes queued tasks until the queue closes.
@@ -994,7 +980,7 @@ func (s *Server) worker() {
 		wait := time.Since(t.enqueued)
 		s.met.observeQueueWait(wait)
 		t.queueNS = int64(wait)
-		t.tr.endQueue()
+		t.tr.endPhase()
 		s.activeWorkers.Add(1)
 		s.process(t)
 		s.activeWorkers.Add(-1)
@@ -1009,7 +995,7 @@ func (s *Server) process(t *task) {
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
 		out = outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()}
 	} else {
-		t.tr.startExec()
+		t.tr.phase(obs.PhaseExec)
 		execStart := time.Now()
 		switch t.op {
 		case OpPaths:
@@ -1021,7 +1007,7 @@ func (s *Server) process(t *task) {
 		}
 		out.execNS = int64(time.Since(execStart))
 		s.met.observeExec(time.Duration(out.execNS), t.rid)
-		t.tr.endExec()
+		t.tr.endPhase()
 	}
 	s.deliverAll(t, out)
 }
@@ -1120,25 +1106,26 @@ func (s *Server) noteBatchLocal(t *task, nonOwned bool) {
 // duplicates start a fresh construction instead of attaching to a
 // completed one.
 func (s *Server) deliverAll(t *task, out outcome) {
+	var waiters []pendingReq
 	if t.lead {
+		key := coalesceKey{u: t.u, v: t.v}
 		s.inflightMu.Lock()
-		fl := s.inflight[t.key]
-		delete(s.inflight, t.key)
+		waiters = s.inflight[key]
+		delete(s.inflight, key)
 		s.inflightMu.Unlock()
-		s.respond(t.pendingReq, out)
-		for _, w := range fl.waiters {
-			s.respond(w, out)
-		}
-		return
 	}
 	s.respond(t.pendingReq, out)
+	for _, w := range waiters {
+		s.respond(w, out)
+	}
 }
 
 // respond answers one recipient: its own deadline check, its own width
-// truncation, its own counters and latency sample, then the encoder of
-// the wire version the request arrived in. out is the recipient's own
-// copy; the paths it shares with other recipients are only ever re-sliced,
-// never written.
+// truncation, its one terminal counter and latency sample, then the
+// encoder of the wire version the request arrived in. It is the only
+// place a request's response reservation is released. out is the
+// recipient's own copy; the paths it shares with other recipients are
+// only ever re-sliced, never written.
 //
 //hhc:hotpath
 func (s *Server) respond(p pendingReq, out outcome) {
@@ -1173,15 +1160,17 @@ func (s *Server) respond(p pendingReq, out outcome) {
 		s.counters.Completed.Inc()
 	case CodeDeadline:
 		s.counters.Deadline.Inc()
-	case CodeOverload, CodeShutdown:
-		// Shed/refused work is already counted at its decision site.
+	case CodeOverload:
+		s.counters.Shed.Inc()
+	case CodeShutdown:
+		s.counters.Refused.Inc()
 	default:
 		s.counters.Failed.Inc()
 	}
 	if out.code != CodeOK {
 		s.logResponse(p.pc.remote, p.op, p.rid, out.code, out.errMsg)
 	}
-	p.tr.startEncode()
+	p.tr.phase(obs.PhaseEncode)
 	bufp := frameBufPool.Get().(*[]byte)
 	buf := appendFramePrefix(*bufp)
 	if p.proto == ProtocolV2 {
@@ -1192,7 +1181,6 @@ func (s *Server) respond(p pendingReq, out outcome) {
 	p.pc.write(buf)
 	*bufp = buf[:0]
 	frameBufPool.Put(bufp)
-	p.tr.endEncode()
 	p.tr.finish(out.code)
 	s.met.observeRequest(time.Since(p.start), p.rid)
 }

@@ -37,8 +37,19 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 		if err := <-serveErr; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
+		checkLedger(t, srv)
 	})
 	return srv, ln.Addr().String()
+}
+
+// checkLedger asserts the request ledger of a drained server balances:
+// every decoded request was answered into exactly one terminal bucket.
+func checkLedger(tb testing.TB, srv *Server) {
+	tb.Helper()
+	snap := srv.Counters()
+	if terminal := snap.Completed + snap.Deadline + snap.Failed + snap.Shed + snap.Refused; snap.Requests != terminal {
+		tb.Errorf("ledger imbalance: requests=%d terminal=%d (%s)", snap.Requests, terminal, snap)
+	}
 }
 
 // dial connects a test client.
@@ -223,6 +234,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
+	checkLedger(t, srv)
 	snap := srv.Counters()
 	if snap.Completed < inflight {
 		t.Fatalf("completed %d < admitted %d: shutdown dropped answers", snap.Completed, inflight)
@@ -232,6 +244,86 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		c.Close()
 		t.Fatal("listener still accepting after drained shutdown")
 	}
+}
+
+// TestDrainRefusalsBalanceLedger: work the drain refuses is still
+// answered and counted. A reader is parked in AdmitBlock on a full queue
+// when Shutdown begins, with a second frame already buffered behind it
+// that races the drain; both get a typed shutdown answer, and every
+// decoded request lands in exactly one terminal bucket.
+func TestDrainRefusalsBalanceLedger(t *testing.T) {
+	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 1, Admission: AdmitBlock})
+	release := make(chan struct{})
+	srv.stallForTest = func() { <-release }
+
+	// Occupy the one worker, then the one queue slot.
+	g, _ := hhc.New(3)
+	results := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		c := dial(t, addr)
+		u, v := g.FormatNode(hhc.Node{X: uint64(i), Y: 1}), g.FormatNode(hhc.Node{X: 0x80, Y: 2})
+		go func() {
+			_, err := c.Paths(u, v, 0, time.Minute)
+			results <- err
+		}()
+		waitFor(t, "worker and queue occupied", func() bool { return srv.Counters().Admitted == int64(i+1) })
+	}
+
+	// One write carries two frames: the first parks the reader in
+	// AdmitBlock, the second waits in the reader's buffer behind it.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var frames []byte
+	for _, req := range []RequestV2{
+		{ID: 1, Op: OpCodePaths, U: hhc.Node{X: 7, Y: 1}, V: hhc.Node{X: 0x80, Y: 2}},
+		{ID: 2, Op: OpCodePing},
+	} {
+		frame := AppendRequestV2(appendFramePrefix(nil), &req)
+		patchFramePrefix(frame)
+		frames = append(frames, frame...)
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "reader parked on the full queue", func() bool { return srv.Counters().Requests == 3 })
+
+	shutdownErr := make(chan error, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	go func() { shutdownErr <- srv.Shutdown(ctx) }()
+
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for want := uint64(1); want <= 2; want++ {
+		payload, err := ReadFrame(conn, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("frame %d: read: %v", want, err)
+		}
+		var resp ResponseV2
+		if err := DecodeResponseV2(payload, &resp); err != nil {
+			t.Fatalf("frame %d: decode: %v", want, err)
+		}
+		if resp.ID != want || resp.Code != StatusShutdown {
+			t.Errorf("answer %d: id=%d status=%d, want id %d refused with shutdown", want, resp.ID, resp.Code, want)
+		}
+	}
+
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("admitted request dropped by the drain: %v", err)
+		}
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	snap := srv.Counters()
+	if snap.Requests != 4 || snap.Completed != 2 || snap.Refused != 2 {
+		t.Errorf("drained ledger %s, want requests=4 completed=2 refused=2", snap)
+	}
+	checkLedger(t, srv)
 }
 
 // TestDeadlineExceededTyped: a request whose deadline expires while it
@@ -657,6 +749,7 @@ func TestShutdownBeforeServe(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	checkLedger(t, srv)
 }
 
 // TestTrackAfterClosePoked: a connection accepted just before beginClose
