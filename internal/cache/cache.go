@@ -2,8 +2,7 @@
 // construction of internal/core. The paper's algorithm is poly(n) per pair,
 // but serving workloads (fault-tolerant routing tables, repeated multi-path
 // requests) ask for the same or symmetric pairs over and over; memoizing
-// turns the hot path from microseconds of construction into a map lookup
-// plus a copy.
+// turns the hot path from microseconds of construction into a map lookup.
 //
 // # Keying and canonicalization
 //
@@ -36,10 +35,13 @@
 // shards; each shard serializes its map under a mutex and evicts LRU
 // beyond its capacity. Identical in-flight constructions are deduplicated
 // (singleflight): the first requester constructs, later ones wait on the
-// same result. Every caller — hit, miss, or coalesced waiter — receives a
-// freshly allocated copy of the paths, so callers may mutate their result
-// freely. Hit/miss/eviction/in-flight counters are exposed through
-// internal/stats.
+// same result. Every Paths caller — hit, miss, or coalesced waiter —
+// receives a freshly allocated copy of the paths, so it may mutate its
+// result freely. Lookup is the copy-free probe for callers that only read:
+// it returns the stored canonical container, shared and immutable, plus the
+// automorphism that maps it onto the requested pair, and it never waits on
+// an in-flight construction. Hit/miss/eviction/in-flight counters are
+// exposed through internal/stats.
 package cache
 
 import (
@@ -292,6 +294,32 @@ func (c *Cache) shardFor(k key) *shard {
 	return c.shards[h&c.mask]
 }
 
+// Lookup answers (u, v) from the memo alone. On a hit it refreshes the
+// entry's LRU position, counts one hit, and returns the stored canonical
+// container — shared with every other caller, so it must not be written —
+// with the automorphism that maps it onto the requested pair
+// (back.AppendPath per path). A miss returns ok=false at once: Lookup never
+// constructs, never joins an in-flight construction, and counts nothing, so
+// a caller that falls back to Paths still counts exactly one hit or miss.
+func (c *Cache) Lookup(u, v hhc.Node, opt core.Options) (canon [][]hhc.Node, back hhc.Automorphism, ok bool) {
+	if !c.g.Contains(u) || !c.g.Contains(v) || u == v {
+		return nil, back, false
+	}
+	cu, cv, back, err := c.canonicalize(u, v, opt)
+	if err != nil {
+		return nil, back, false
+	}
+	k := c.keyFor(cu, cv, opt)
+	s := c.shardFor(k)
+	s.mu.Lock()
+	canon, ok = s.get(k)
+	s.mu.Unlock()
+	if ok {
+		c.counters.Hits.Inc()
+	}
+	return canon, back, ok
+}
+
 // Paths returns the (m+1)-wide container between u and v, serving from the
 // cache when possible. The result is always a fresh copy the caller owns.
 // Invalid requests (unknown nodes, u == v) bypass the cache and report the
@@ -308,9 +336,7 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 	s := c.shardFor(k)
 
 	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(el)
-		paths := el.Value.(*entry).paths
+	if paths, ok := s.get(k); ok {
 		s.mu.Unlock()
 		c.counters.Hits.Inc()
 		return mapPaths(back, paths), nil
@@ -343,6 +369,19 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 		return nil, cl.err
 	}
 	return mapPaths(back, cl.paths), nil
+}
+
+// get returns the stored container for k and marks it most recently used.
+// Caller holds the shard lock.
+//
+//hhc:holds mu
+func (s *shard) get(k key) ([][]hhc.Node, bool) {
+	el, ok := s.entries[k]
+	if !ok {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	return el.Value.(*entry).paths, true
 }
 
 // insert stores a container and evicts LRU entries beyond the per-shard

@@ -65,14 +65,15 @@ func allocSetup(t testing.TB) (*Client, hhc.Node, hhc.Node) {
 // ServeV2AllocBudget is the explicit steady-state allocation budget for
 // one warm-cache OpPaths round trip over protocol v2, counted across
 // every goroutine on both sides of the loopback (client encode/decode,
-// server read/dispatch/construct/deliver/send). Measured: 8 allocs/op
-// (10 under -race); the dominant terms are inherent — the per-request
-// task and the cache's defensive container copy (one outer + m+1 inner
-// slices). The JSON path spends several
-// hundred allocations on the same round trip. The margin above the
-// measurement absorbs pool refills after an unluckily timed GC, not new
-// hot-path costs.
-const ServeV2AllocBudget = 16
+// server read/dispatch/answer/send). Measured: 1 alloc/op (3 under -race,
+// whose sync.Pool drops some Puts): the per-request task. A hit is
+// answered on the connection's reader from the cache's stored container,
+// mapped into the reader's reused scratch, so neither a defensive copy
+// nor a worker hand-off is in the round trip. The JSON path spends
+// several hundred allocations on the same round trip. The budget is the
+// -race count with no margin, so any new per-request allocation fails
+// here.
+const ServeV2AllocBudget = 3
 
 // TestServeV2AllocBudget extends the TestUninstrumentedAllocIdentity
 // discipline to the serve path: the budget is pinned by test so an
@@ -131,12 +132,13 @@ func TestServeV2AllocBudgetObserved(t *testing.T) {
 
 // ServeV2AllocBudgetTraced is the round-trip budget of the configuration
 // hhcd -listen runs: metrics plus the tracer's flight recorder, with no
-// -trace sink. Measured: 17 allocs/op (21 under -race): the untraced 8
-// plus the request tree — the Req (which is also the trace handle), four
-// phase spans, the minted rid and the u/v attr text. A finished tree is
-// recorded, not copied, and the budget is the -race count with no margin,
-// so any new per-request allocation fails here.
-const ServeV2AllocBudgetTraced = 21
+// -trace sink. Measured: 9 allocs/op (13 under -race): the untraced 1
+// plus the request tree — the Req (which is also the trace handle), its
+// phase spans (admission, exec, encode: an inline hit has no queue
+// phase), the minted rid and the u/v and width attr text. A finished tree
+// is recorded, not copied, and the budget is the -race count with no
+// margin, so any new per-request allocation fails here.
+const ServeV2AllocBudgetTraced = 13
 
 // TestServeV2AllocBudgetTraced pins the recorder's per-request cost, so a
 // new per-request copy of the tree (or a per-span allocation) fails here.

@@ -29,7 +29,7 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 	reg.CounterFunc("pathsvc_requests_total",
 		"Requests decoded from the wire (any op).", s.counters.Requests.Load)
 	reg.CounterFunc("pathsvc_admitted_total",
-		"Requests that entered the work queue.", s.counters.Admitted.Load)
+		"Requests admitted to execution: queued for a worker, or cache hits answered inline with zero queue wait.", s.counters.Admitted.Load)
 	reg.CounterFunc("pathsvc_shed_total",
 		"Requests answered overload because the admission queue was full.", s.counters.Shed.Load)
 	reg.CounterFunc("pathsvc_refused_total",
@@ -61,7 +61,7 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 			"End-to-end request latency: decode to response written.",
 			obs.DefLatencyBuckets),
 		queueWaitSeconds: reg.Histogram("pathsvc_queue_wait_seconds",
-			"Time admitted requests spent waiting for a worker.",
+			"Time admitted requests spent waiting for a worker (zero for cache hits answered inline).",
 			obs.DefLatencyBuckets),
 		execSeconds: reg.Histogram("pathsvc_exec_seconds",
 			"Construction/execution latency, once per executed task (coalesced recipients share it).",

@@ -3,6 +3,7 @@ package pathsvc
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -163,7 +164,7 @@ const (
 type Counters struct {
 	Conns     stats.Counter // accepted connections
 	Requests  stats.Counter // decoded requests of any op
-	Admitted  stats.Counter // requests that entered the work queue
+	Admitted  stats.Counter // requests queued for a worker, or cache hits answered inline (zero queue wait)
 	Coalesced stats.Counter // requests piggybacked on an identical in-flight query
 	Degraded  stats.Counter // responses truncated below full width by queue pressure
 	// The terminal buckets: respond counts every decoded request into
@@ -308,12 +309,24 @@ type outcome struct {
 	degraded    bool
 }
 
+// maxHeldBytes bounds the answers a reader holds for its read batch's one
+// write: past it, the held frames go out at once.
+const maxHeldBytes = 32 << 10
+
 // serverConn serializes concurrent response writes onto one connection.
 type serverConn struct {
 	c       net.Conn
 	remote  string
 	maxSend int
-	wmu     sync.Mutex
+	// hold is reader-owned: true while another whole frame is already
+	// buffered behind the one being served, so the answers the reader gives
+	// itself can wait in wbuf and leave with the batch's one write.
+	hold bool
+	// hits is the reader's reused scratch for mapping a cache hit's
+	// canonical container onto the requested pair.
+	hits [][]hhc.Node
+	wmu  sync.Mutex
+	wbuf []byte // guarded by wmu; frames the reader holds for one write
 	// pending counts responses owed on this connection: one reservation
 	// per decoded request, taken where the frame enters (serve, refuse)
 	// and released only by respond. The reader waits for it before
@@ -321,22 +334,66 @@ type serverConn struct {
 	pending sync.WaitGroup
 }
 
-// write sends one encoded frame with a single conn.Write. A frame over the
-// limit here is an encoder's frame-limit substitute that still did not
-// fit: the connection is closed so the client at least sees EOF rather
-// than waiting on silence.
+// write sends one encoded frame. With hold (set only by the reader, for
+// its own answers) the frame joins wbuf until the reader flushes or wbuf
+// passes maxHeldBytes; otherwise it goes out at once, in one conn.Write
+// together with any frames already held, so no answer ever waits on a
+// reader blocked in Read. A frame over the limit here is an encoder's
+// frame-limit substitute that still did not fit: the connection is closed
+// so the client at least sees EOF rather than waiting on silence.
 //
 //hhc:hotpath
-func (pc *serverConn) write(buf []byte) {
+func (pc *serverConn) write(buf []byte, hold bool) {
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
 	if patchFramePrefix(buf) > pc.maxSend {
 		_ = pc.c.Close()
 		return
 	}
+	if hold || len(pc.wbuf) > 0 {
+		pc.wbuf = append(pc.wbuf, buf...)
+		if hold && len(pc.wbuf) < maxHeldBytes {
+			return
+		}
+		buf, pc.wbuf = pc.wbuf, pc.wbuf[:0]
+	}
 	// An I/O error means the peer vanished; the reader will observe the
 	// broken connection and clean up, so there is nobody left to notify.
 	_, _ = pc.c.Write(buf)
+}
+
+// flush writes the frames the reader is holding, if any.
+func (pc *serverConn) flush() {
+	pc.wmu.Lock()
+	defer pc.wmu.Unlock()
+	if len(pc.wbuf) > 0 {
+		_, _ = pc.c.Write(pc.wbuf)
+		pc.wbuf = pc.wbuf[:0]
+	}
+}
+
+// mapHit maps a cache hit's canonical container through back into the
+// reader's reused scratch: steady state allocates nothing, and the result
+// is valid until the reader serves its next hit.
+func (pc *serverConn) mapHit(back hhc.Automorphism, canon [][]hhc.Node) [][]hhc.Node {
+	if cap(pc.hits) < len(canon) {
+		pc.hits = make([][]hhc.Node, len(canon))
+	}
+	pc.hits = pc.hits[:len(canon)]
+	for i, path := range canon {
+		pc.hits[i] = back.AppendPath(pc.hits[i][:0], path)
+	}
+	return pc.hits
+}
+
+// wholeFrameBuffered reports whether br already holds a complete frame, so
+// the reader can serve it without blocking in Read.
+func wholeFrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4)
+	return uint32(br.Buffered()-4) >= binary.BigEndian.Uint32(prefix)
 }
 
 // Server serves disjoint-path queries over length-prefixed JSON frames.
@@ -606,6 +663,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	pc := &serverConn{c: conn, remote: conn.RemoteAddr().String(), maxSend: s.cfg.MaxFrame}
 	s.logConnOpen(pc.remote)
 	defer func() {
+		// Held answers go out before the wait: every later answer is a
+		// worker's or a forward's, and those write at once.
+		pc.flush()
 		pc.pending.Wait()
 		_ = conn.Close()
 		s.untrack(conn)
@@ -615,7 +675,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	// One read buffer and one decode scratch per connection: every frame
 	// lands in rbuf (grown once, then reused) and decodes into req, whose
-	// slices serve copies out of before returning.
+	// slices serve copies out of before returning. The answers the reader
+	// gives itself while more whole frames are buffered are held and leave
+	// in one write per read batch, flushed before the next blocking Read.
 	var rbuf []byte
 	var req request
 	for {
@@ -626,6 +688,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		rbuf = payload
+		pc.hold = wholeFrameBuffered(br)
 		if payload[0] == frameMagicV2 {
 			err = s.decodeV2(payload, &req)
 		} else {
@@ -645,9 +708,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			// framing holds, and whatever decoded (the id, when at least the
 			// header arrived) addresses the refusal.
 			s.refuse(pc, &req, CodeBadRequest, err.Error())
-			continue
+		} else {
+			s.serve(pc, &req)
 		}
-		s.serve(pc, &req)
+		if !pc.hold {
+			pc.flush()
+		}
 	}
 }
 
@@ -743,7 +809,7 @@ func (s *Server) refuse(pc *serverConn, req *request, code, msg string) {
 	s.counters.Requests.Inc()
 	pc.pending.Add(1)
 	s.respond(pendingReq{pc: pc, proto: req.proto, id: req.ID, rid: req.RID, op: req.op,
-		start: time.Now()}, outcome{code: code, errMsg: msg})
+		start: time.Now()}, outcome{code: code, errMsg: msg}, pc.hold)
 }
 
 // serve is the protocol-independent pipeline: it validates a decoded
@@ -771,7 +837,7 @@ func (s *Server) serve(pc *serverConn, req *request) {
 	var msg string
 	switch req.op {
 	case OpPing, OpInfo:
-		s.respond(p, outcome{})
+		s.respond(p, outcome{}, pc.hold)
 		return
 	case OpPaths, OpRoute:
 		msg = req.err
@@ -785,7 +851,7 @@ func (s *Server) serve(pc *serverConn, req *request) {
 		msg = fmt.Sprintf("unknown op %q", req.op)
 	}
 	if msg != "" {
-		s.respond(p, outcome{code: CodeBadRequest, errMsg: msg})
+		s.respond(p, outcome{code: CodeBadRequest, errMsg: msg}, pc.hold)
 		return
 	}
 
@@ -819,8 +885,9 @@ func (s *Server) serve(pc *serverConn, req *request) {
 // whose canonical key another peer owns are relayed there (unless the
 // hop-guard bit says the query already crossed a hop — then this server
 // answers locally no matter what its ring says, so disagreeing membership
-// views can never bounce a query forever); everything else runs the local
-// admission path.
+// views can never bounce a query forever); a path query the cache already
+// holds is answered on the spot; everything else runs the local admission
+// path. It runs on the connection's reader goroutine.
 func (s *Server) admit(t *task) {
 	if s.cfg.Router != nil && (t.op == OpPaths || t.op == OpRoute) {
 		if t.forwarded {
@@ -830,7 +897,35 @@ func (s *Server) admit(t *task) {
 			return
 		}
 	}
+	if t.op == OpPaths && s.answerHit(t) {
+		return
+	}
 	s.admitLocal(t)
+}
+
+// answerHit answers a path query from the cache on the reader goroutine,
+// reporting false (having done nothing) on a miss. A hit takes no queue
+// slot, no worker and no in-flight entry, and the cache makes no copy: the
+// canonical container is mapped into the reader's scratch, which respond
+// encodes before the reader serves another frame. Everything else matches
+// a queued answer: it is admitted (first, so Admitted >= Completed holds at
+// every scrape) with a zero queue wait, it records an exec sample, its
+// degrade decision is taken from the queue fill, and respond applies its
+// deadline, max_paths, terminal bucket and span tree.
+func (s *Server) answerHit(t *task) bool {
+	execStart := time.Now()
+	canon, back, ok := s.cache.Lookup(t.u, t.v, core.Options{})
+	if !ok {
+		return false
+	}
+	s.counters.Admitted.Inc()
+	s.met.observeQueueWait(0)
+	t.tr.phase(obs.PhaseExec)
+	t.degraded = len(s.queue) >= s.shedHigh
+	out := outcome{paths: t.pc.mapHit(back, canon), execNS: int64(time.Since(execStart))}
+	s.met.observeExec(time.Duration(out.execNS), t.rid)
+	s.respond(t.pendingReq, out, t.pc.hold)
+	return true
 }
 
 // admitLocal runs the local tail of the pipeline: the degrade
@@ -869,6 +964,8 @@ func (s *Server) admitLocal(t *task) {
 	default:
 	}
 	if s.cfg.Admission == AdmitBlock {
+		// Held answers must not wait out the park.
+		t.pc.flush()
 		select {
 		case s.queue <- t:
 			s.countAdmitted(t)
@@ -1114,9 +1211,9 @@ func (s *Server) deliverAll(t *task, out outcome) {
 		delete(s.inflight, key)
 		s.inflightMu.Unlock()
 	}
-	s.respond(t.pendingReq, out)
+	s.respond(t.pendingReq, out, false)
 	for _, w := range waiters {
-		s.respond(w, out)
+		s.respond(w, out, false)
 	}
 }
 
@@ -1125,10 +1222,11 @@ func (s *Server) deliverAll(t *task, out outcome) {
 // encoder of the wire version the request arrived in. It is the only
 // place a request's response reservation is released. out is the
 // recipient's own copy; the paths it shares with other recipients are
-// only ever re-sliced, never written.
+// only ever re-sliced, never written. hold is true only for an answer the
+// reader gives itself while more whole frames are buffered (see write).
 //
 //hhc:hotpath
-func (s *Server) respond(p pendingReq, out outcome) {
+func (s *Server) respond(p pendingReq, out outcome, hold bool) {
 	defer p.pc.pending.Done()
 	if out.code == CodeOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
 		// The shared construction finished, but after this requester's own
@@ -1178,7 +1276,7 @@ func (s *Server) respond(p pendingReq, out outcome) {
 	} else {
 		buf = s.encodeV1(buf, &p, &out)
 	}
-	p.pc.write(buf)
+	p.pc.write(buf, hold)
 	*bufp = buf[:0]
 	frameBufPool.Put(bufp)
 	p.tr.finish(out.code)
@@ -1186,9 +1284,10 @@ func (s *Server) respond(p pendingReq, out outcome) {
 }
 
 // encodeV2 appends the binary frame payload answering p. The paths are
-// shared read-only (out.paths aliases the cached container): the encoder
-// walks them exactly once on this goroutine, with no defensive copy and
-// no per-node formatting — the bulk of the v2 serve path's allocation win.
+// shared read-only (out.paths is a worker's container, shared by every
+// coalesced recipient, or the reader's hit scratch): the encoder walks
+// them exactly once on this goroutine, with no copy and no per-node
+// formatting — the bulk of the v2 serve path's allocation win.
 //
 //hhc:hotpath
 func (s *Server) encodeV2(buf []byte, p *pendingReq, out *outcome) []byte {

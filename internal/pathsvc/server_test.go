@@ -20,12 +20,19 @@ import (
 // background. Tests that do not shut down explicitly get a cleanup drain.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	srv, err := New(cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return startServerOn(t, cfg, ln)
+}
+
+// startServerOn is startServer on a caller-supplied listener.
+func startServerOn(t *testing.T, cfg Config, ln net.Listener) (*Server, string) {
+	t.Helper()
+	srv, err := New(cfg)
 	if err != nil {
+		_ = ln.Close()
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)

@@ -206,14 +206,20 @@ func ReadFrameInto(r io.Reader, buf []byte, max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+	// The prefix lands in buf's own storage when it has room: the reader
+	// hands it to an io.Reader, so a local array would escape and cost a
+	// heap allocation on every frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	prefix := buf[:4]
+	if _, err := io.ReadFull(r, prefix); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("pathsvc: truncated frame prefix: %w", err)
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
+	n := binary.BigEndian.Uint32(prefix)
 	if n == 0 {
 		return nil, ErrEmptyFrame
 	}
