@@ -85,6 +85,7 @@ func BenchmarkConstruct(b *testing.B) {
 				b.Fatal(err)
 			}
 			pairs := gen.Pairs(g, 256, gen.Uniform, int64(m))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
@@ -187,6 +188,7 @@ func BenchmarkFan(b *testing.B) {
 				}
 				insts[i] = inst{src, targets}
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				in := insts[i%len(insts)]

@@ -213,21 +213,17 @@ func liftLocal(x uint64, p []uint64) []hhc.Node {
 // α, β, α, β, visiting S_{a⊕e_α}, S_{a⊕e_α⊕e_β} and S_{a⊕e_β}.
 func outsidePath(g *hhc.Graph, u, v hhc.Node) []hhc.Node {
 	α, β := uint64(u.Y), uint64(v.Y)
-	path := []hhc.Node{u}
+	// Four crossings and three α↔β walks (the first hop starts at α).
+	path := make([]hhc.Node, 1, 5+3*hypercube.Hamming(α, β))
+	path[0] = u
 	x, y := u.X, α
-	hop := func(dim uint64) {
+	for _, dim := range [4]uint64{α, β, α, β} {
 		// Walk to processor dim inside the current cube, then cross.
-		for _, w := range hypercube.BitFixPath(y, dim)[1:] {
-			path = append(path, hhc.Node{X: x, Y: uint8(w)})
-		}
+		path = appendBitFix(path, x, y, dim)
 		y = dim
 		x ^= 1 << uint(dim)
 		path = append(path, hhc.Node{X: x, Y: uint8(y)})
 	}
-	hop(α)
-	hop(β)
-	hop(α)
-	hop(β)
 	return path
 }
 

@@ -21,7 +21,8 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 	// Fan targets preserve the order of seqs so paths can look them up.
 	exitFor := make([]int, len(seqs))  // index into fanA, or -1 for direct exit
 	entryFor := make([]int, len(seqs)) // index into fanB, or -1 for direct entry
-	var exitTargets, entryTargets []uint64
+	exitTargets := make([]uint64, 0, len(seqs))
+	entryTargets := make([]uint64, 0, len(seqs))
 	for i, seq := range seqs {
 		first, last := uint64(seq[0]), uint64(seq[len(seq)-1])
 		if first == alpha {
@@ -48,7 +49,23 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 
 	paths := make([][]hhc.Node, len(seqs))
 	for i, seq := range seqs {
-		path := []hhc.Node{u}
+		// Size the path first: fan legs, one son-cube walk and crossing per
+		// super-dimension, then the entry fan leg.
+		n, y := 1, alpha
+		if fi := exitFor[i]; fi >= 0 {
+			n += len(fanA[fi]) - 1
+			y = exitTargets[fi]
+		}
+		for _, dim := range seq {
+			n += hypercube.Hamming(y, uint64(dim)) + 1
+			y = uint64(dim)
+		}
+		if fi := entryFor[i]; fi >= 0 {
+			n += len(fanB[fi]) - 1
+		}
+
+		path := make([]hhc.Node, 1, n)
+		path[0] = u
 		x, y := u.X, alpha
 		if fi := exitFor[i]; fi >= 0 {
 			for _, w := range fanA[fi][1:] {
@@ -57,16 +74,11 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 			y = exitTargets[fi]
 		}
 		for k, dim := range seq {
-			if k == 0 {
-				if y != uint64(dim) {
-					return nil, fmt.Errorf("core: internal: exit %d != first dim %d", y, dim)
-				}
-			} else {
-				for _, w := range hypercube.BitFixPath(y, uint64(dim))[1:] {
-					path = append(path, hhc.Node{X: x, Y: uint8(w)})
-				}
-				y = uint64(dim)
+			if k == 0 && y != uint64(dim) {
+				return nil, fmt.Errorf("core: internal: exit %d != first dim %d", y, dim)
 			}
+			path = appendBitFix(path, x, y, uint64(dim))
+			y = uint64(dim)
 			x ^= 1 << uint(dim)
 			path = append(path, hhc.Node{X: x, Y: uint8(y)})
 		}
@@ -88,4 +100,15 @@ func realize(g *hhc.Graph, u, v hhc.Node, seqs [][]int) ([][]hhc.Node, error) {
 		paths[i] = path
 	}
 	return paths, nil
+}
+
+// appendBitFix appends the greedy bit-fixing walk inside son-cube S_x from
+// processor from to processor to, excluding from itself: the nodes of
+// hypercube.BitFixPath(from, to)[1:], without allocating it.
+func appendBitFix(path []hhc.Node, x, from, to uint64) []hhc.Node {
+	for diff := from ^ to; diff != 0; diff &= diff - 1 {
+		from ^= diff & -diff
+		path = append(path, hhc.Node{X: x, Y: uint8(from)})
+	}
+	return path
 }

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -82,13 +81,7 @@ func (nw *Network) MaxFlowDinic(s, t int32, limit int32) int32 {
 // VertexDisjointPathsDinic is VertexDisjointPaths with the Dinic engine
 // (always max-cardinality; no min-cost variant).
 func VertexDisjointPathsDinic(g graph.Graph, s, t uint64, limit int) ([][]uint64, error) {
-	if s == t {
-		return nil, fmt.Errorf("flow: source equals target (%d)", s)
-	}
-	if int64(s) >= g.Order() || int64(t) >= g.Order() {
-		return nil, fmt.Errorf("flow: vertex out of range [0,%d)", g.Order())
-	}
-	nw, err := splitNetwork(g, map[uint64]bool{s: true, t: true})
+	nw, err := pairNetwork(g, s, t)
 	if err != nil {
 		return nil, err
 	}

@@ -6,64 +6,81 @@ import (
 	"repro/internal/graph"
 )
 
+// unbounded is the split capacity of a vertex that any number of paths may
+// share: a path family's source and sink.
+const unbounded = int32(1 << 30)
+
 // splitNetwork builds the node-split transformation of g: every vertex v
-// becomes in(v)=2v and out(v)=2v+1 joined by a unit-capacity edge (infinite
-// for the vertices in unbounded), and every undirected edge {u,v} becomes
-// out(u)->in(v) and out(v)->in(u) with unit capacity. Edge costs are 1 on
-// adjacency edges and 0 on split edges so that min-cost solutions minimize
-// total path length.
-func splitNetwork(g graph.Graph, unbounded map[uint64]bool) (*Network, error) {
+// becomes in(v)=2v and out(v)=2v+1 joined by a unit-capacity edge, and every
+// undirected edge {u,v} becomes out(u)->in(v) and out(v)->in(u) with unit
+// capacity. Edge costs are 1 on adjacency edges and 0 on split edges so that
+// min-cost solutions minimize total path length. extra more vertices,
+// numbered from 2·g.Order(), start with no edges. split[v] is the ID of v's
+// split edge, so callers can lift the capacity of the vertices they route
+// from or to.
+func splitNetwork(g graph.Graph, extra int) (nw *Network, split []int32, err error) {
 	n := g.Order()
 	if n > graph.MaxDenseOrder/2 {
-		return nil, fmt.Errorf("%w: order %d", graph.ErrTooLarge, n)
+		return nil, nil, fmt.Errorf("%w: order %d", graph.ErrTooLarge, n)
 	}
-	nw := NewNetwork(int(2 * n))
+	nw = NewNetwork(int(2*n) + extra)
+	split = make([]int32, n)
 	buf := make([]uint64, 0, g.MaxDegree())
-	const inf = int32(1 << 30)
 	for v := int64(0); v < n; v++ {
-		capV := int32(1)
-		if unbounded[uint64(v)] {
-			capV = inf
-		}
-		nw.AddEdge(int32(2*v), int32(2*v+1), capV, 0)
+		split[v] = int32(nw.AddEdge(int32(2*v), int32(2*v+1), 1, 0))
 		buf = g.Neighbors(uint64(v), buf[:0])
 		for _, w := range buf {
 			nw.AddEdge(int32(2*v+1), int32(2*uint64(w)), 1, 1)
 		}
 	}
+	return nw, split, nil
+}
+
+// pairNetwork is the split network of g with s and t unbounded, for s-t
+// path families. s and t must be distinct vertices of g.
+func pairNetwork(g graph.Graph, s, t uint64) (*Network, error) {
+	if s == t {
+		return nil, fmt.Errorf("flow: source equals target (%d)", s)
+	}
+	if int64(s) >= g.Order() || int64(t) >= g.Order() {
+		return nil, fmt.Errorf("flow: vertex out of range [0,%d)", g.Order())
+	}
+	nw, split, err := splitNetwork(g, 0)
+	if err != nil {
+		return nil, err
+	}
+	nw.cap[split[s]], nw.cap[split[t]] = unbounded, unbounded
 	return nw, nil
+}
+
+// takeFlowEdge returns the first adjacency edge out of out(v) that carries
+// flow no earlier walk has taken, and marks it taken by clearing its flow;
+// -1 if there is none. Walking a unit flow with it from the source, one
+// call per hop, decomposes the flow into paths.
+func (nw *Network) takeFlowEdge(v uint64) int32 {
+	for e := nw.first[2*v+1]; e != -1; e = nw.next[e] {
+		// Even IDs are forward edges; cost 1 marks an adjacency edge.
+		if e%2 == 0 && nw.cap[e^1] > 0 && nw.cost[e] > 0 {
+			nw.cap[e^1] = 0
+			return e
+		}
+	}
+	return -1
 }
 
 // extractPaths decomposes a unit flow on a split network into vertex paths
 // from s to t (original vertex IDs). Each unit of flow yields one path.
 func extractPaths(nw *Network, s, t uint64, units int) [][]uint64 {
 	paths := make([][]uint64, 0, units)
-	// consumed marks edge IDs already claimed by an extracted path.
-	consumed := make(map[int32]bool)
 	for p := 0; p < units; p++ {
 		path := []uint64{s}
-		cur := int32(2*s + 1) // out(s)
-		for {
-			var chosen int32 = -1
-			for e := nw.first[cur]; e != -1; e = nw.next[e] {
-				if e%2 != 0 || consumed[e] {
-					continue // residual twin or already used
-				}
-				if nw.Flow(int(e)) > 0 && nw.cost[e] > 0 { // adjacency edge carrying flow
-					chosen = e
-					break
-				}
-			}
-			if chosen == -1 {
+		for v := s; v != t; {
+			e := nw.takeFlowEdge(v)
+			if e == -1 {
 				break
 			}
-			consumed[chosen] = true
-			next := uint64(nw.to[chosen]) / 2 // in(next) -> original ID
-			path = append(path, next)
-			if next == t {
-				break
-			}
-			cur = int32(2*next + 1)
+			v = uint64(nw.to[e]) / 2 // in(v) -> original ID
+			path = append(path, v)
 		}
 		if len(path) > 1 && path[len(path)-1] == t {
 			paths = append(paths, path)
@@ -79,13 +96,7 @@ func extractPaths(nw *Network, s, t uint64, units int) [][]uint64 {
 // returned family minimum for its cardinality; this is only advisable for
 // small graphs.
 func VertexDisjointPaths(g graph.Graph, s, t uint64, limit int, minCost bool) ([][]uint64, error) {
-	if s == t {
-		return nil, fmt.Errorf("flow: source equals target (%d)", s)
-	}
-	if int64(s) >= g.Order() || int64(t) >= g.Order() {
-		return nil, fmt.Errorf("flow: vertex out of range [0,%d)", g.Order())
-	}
-	nw, err := splitNetwork(g, map[uint64]bool{s: true, t: true})
+	nw, err := pairNetwork(g, s, t)
 	if err != nil {
 		return nil, err
 	}
@@ -103,121 +114,9 @@ func VertexDisjointPaths(g graph.Graph, s, t uint64, limit int, minCost bool) ([
 // s-t paths, i.e. the size of a minimum s-t vertex cut when s and t are not
 // adjacent (Menger).
 func LocalConnectivity(g graph.Graph, s, t uint64) (int, error) {
-	if s == t {
-		return 0, fmt.Errorf("flow: source equals target (%d)", s)
-	}
-	nw, err := splitNetwork(g, map[uint64]bool{s: true, t: true})
+	nw, err := pairNetwork(g, s, t)
 	if err != nil {
 		return 0, err
 	}
 	return int(nw.MaxFlow(int32(2*s+1), int32(2*t), 0)), nil
-}
-
-// VertexDisjointFan returns len(targets) paths from src to each target,
-// pairwise sharing no vertex except src, and such that no path passes
-// through another target. The family minimizes total length (min-cost flow).
-// Returned paths are ordered to match targets. Targets must be distinct and
-// different from src; an error is returned if no full fan exists (by the fan
-// lemma one always exists when the graph is len(targets)-connected).
-func VertexDisjointFan(g graph.Graph, src uint64, targets []uint64) ([][]uint64, error) {
-	k := len(targets)
-	if k == 0 {
-		return nil, nil
-	}
-	seen := make(map[uint64]bool, k)
-	for _, t := range targets {
-		if t == src {
-			return nil, fmt.Errorf("flow: fan target equals source %d", src)
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("flow: duplicate fan target %d", t)
-		}
-		seen[t] = true
-	}
-	n := g.Order()
-	if n > 1<<20 {
-		return nil, fmt.Errorf("%w: fan wants order <= 2^20, have %d", graph.ErrTooLarge, n)
-	}
-	nw, err := splitNetwork(g, map[uint64]bool{src: true})
-	if err != nil {
-		return nil, err
-	}
-	// Super-sink collecting one unit from each target's OUT-side. A full fan
-	// saturates every out(t)->super edge, which consumes each target's unit
-	// vertex capacity on termination — so no other path can pass through a
-	// target, giving the strong fan property (paths meet the target set only
-	// at their own endpoints).
-	super := int32(nw.Order())
-	// Grow the network by one vertex: rebuild is avoided by appending heads.
-	nw.first = append(nw.first, -1)
-	nw.n++
-	for _, t := range targets {
-		nw.AddEdge(int32(2*t+1), super, 1, 0)
-	}
-	got, _ := nw.MinCostFlow(int32(2*src+1), super, int32(k))
-	if got != int32(k) {
-		return nil, fmt.Errorf("flow: fan from %d to %d targets: only %d disjoint paths exist", src, k, got)
-	}
-	raw := extractFanPaths(nw, src, targets)
-	if len(raw) != k {
-		return nil, fmt.Errorf("flow: fan decomposition produced %d of %d paths", len(raw), k)
-	}
-	// Order by target.
-	byEnd := make(map[uint64][]uint64, k)
-	for _, p := range raw {
-		byEnd[p[len(p)-1]] = p
-	}
-	out := make([][]uint64, k)
-	for i, t := range targets {
-		p, ok := byEnd[t]
-		if !ok {
-			return nil, fmt.Errorf("flow: fan missing path to target %d", t)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// extractFanPaths walks unit flows from src until a vertex whose in->super
-// edge carries flow is reached.
-func extractFanPaths(nw *Network, src uint64, targets []uint64) [][]uint64 {
-	targetSet := make(map[uint64]bool, len(targets))
-	for _, t := range targets {
-		targetSet[t] = true
-	}
-	var paths [][]uint64
-	consumed := make(map[int32]bool)
-	for range targets {
-		path := []uint64{src}
-		cur := int32(2*src + 1)
-		for {
-			var chosen int32 = -1
-			for e := nw.first[cur]; e != -1; e = nw.next[e] {
-				if e%2 != 0 || consumed[e] {
-					continue
-				}
-				if nw.Flow(int(e)) > 0 && nw.cost[e] > 0 {
-					chosen = e
-					break
-				}
-			}
-			if chosen == -1 {
-				break
-			}
-			consumed[chosen] = true
-			next := uint64(nw.to[chosen]) / 2
-			path = append(path, next)
-			// Every target's out->super edge is saturated in a full fan, so
-			// its single vertex unit is consumed by termination: a reached
-			// target always ends the path.
-			if targetSet[next] {
-				break
-			}
-			cur = int32(2*next + 1)
-		}
-		if len(path) > 1 && targetSet[path[len(path)-1]] {
-			paths = append(paths, path)
-		}
-	}
-	return paths
 }

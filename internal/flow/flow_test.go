@@ -215,18 +215,44 @@ func TestFanOnCube(t *testing.T) {
 }
 
 func TestFanErrors(t *testing.T) {
-	g := cycleGraph(6)
-	if _, err := VertexDisjointFan(g, 0, []uint64{0}); err == nil {
-		t.Fatal("target==src: want error")
+	cases := []struct {
+		name    string
+		g       graph.Graph
+		src     uint64
+		targets []uint64
+	}{
+		{"target equals source", cycleGraph(6), 0, []uint64{0}},
+		{"duplicate target", cycleGraph(6), 0, []uint64{2, 2}},
+		// A cycle is only 2-connected: a 3-target fan must fail.
+		{"beyond connectivity", cycleGraph(6), 0, []uint64{1, 3, 5}},
+		{"target out of range", cubeGraph(3), 0, []uint64{8}},
+		{"target far out of range", cubeGraph(3), 0, []uint64{1, 1 << 40}},
+		{"source out of range", cubeGraph(3), 8, []uint64{1}},
+		{"source far out of range", cubeGraph(3), 1 << 40, []uint64{1}},
 	}
-	if _, err := VertexDisjointFan(g, 0, []uint64{2, 2}); err == nil {
-		t.Fatal("duplicate: want error")
+	for _, c := range cases {
+		if got, err := VertexDisjointFan(c.g, c.src, c.targets); err == nil {
+			t.Errorf("%s: got %v, want error", c.name, got)
+		}
 	}
-	// A cycle is only 2-connected: a 3-target fan must fail.
-	if _, err := VertexDisjointFan(g, 0, []uint64{1, 3, 5}); err == nil {
-		t.Fatal("fan beyond connectivity: want error")
-	}
-	if got, err := VertexDisjointFan(g, 0, nil); err != nil || got != nil {
+	if got, err := VertexDisjointFan(cycleGraph(6), 0, nil); err != nil || got != nil {
 		t.Fatalf("empty fan: %v, %v", got, err)
+	}
+}
+
+func TestLocalConnectivityErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		s, t uint64
+	}{
+		{"source equals target", 2, 2},
+		{"source out of range", 8, 1},
+		{"target out of range", 1, 8},
+		{"target far out of range", 1, 1 << 40},
+	}
+	for _, c := range cases {
+		if k, err := LocalConnectivity(cubeGraph(3), c.s, c.t); err == nil {
+			t.Errorf("%s: got %d, want error", c.name, k)
+		}
 	}
 }

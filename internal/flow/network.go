@@ -12,6 +12,10 @@
 //   - MinCostFlow: successive shortest augmenting paths with SPFA. Intended
 //     for small networks (hundreds of vertices), where it yields the
 //     minimum-total-length family of disjoint paths.
+//   - FanSolver: MinCostFlow specialised to fans (one source, many
+//     targets) on one graph. It builds the graph's split network once and
+//     runs each fan on a pooled copy, so repeated fans in the same graph
+//     allocate only their answer.
 package flow
 
 import (
@@ -130,23 +134,37 @@ func (nw *Network) MaxFlow(s, t int32, limit int32) int32 {
 // are fine) and returns the achieved flow and its total cost. limit <= 0
 // means unbounded. Intended for small networks.
 func (nw *Network) MinCostFlow(s, t int32, limit int32) (flowVal, totalCost int32) {
+	return nw.minCostFlow(s, t, limit, new(spfaScratch))
+}
+
+// spfaScratch is MinCostFlow's working memory, kept between calls by
+// callers that solve many small networks.
+type spfaScratch struct {
+	dist, parentEdge, queue []int32
+	inQueue                 []bool
+}
+
+// minCostFlow is MinCostFlow with its buffers taken from sc.
+func (nw *Network) minCostFlow(s, t int32, limit int32, sc *spfaScratch) (flowVal, totalCost int32) {
 	if limit <= 0 {
 		limit = math.MaxInt32
 	}
-	dist := make([]int32, nw.n)
-	inQueue := make([]bool, nw.n)
-	parentEdge := make([]int32, nw.n)
+	if cap(sc.dist) < nw.n {
+		sc.dist = make([]int32, nw.n)
+		sc.parentEdge = make([]int32, nw.n)
+		sc.inQueue = make([]bool, nw.n) // all false again whenever SPFA ends
+	}
+	dist, parentEdge, inQueue := sc.dist[:nw.n], sc.parentEdge[:nw.n], sc.inQueue[:nw.n]
 	for flowVal < limit {
 		for i := range dist {
 			dist[i] = math.MaxInt32
 			parentEdge[i] = -1
 		}
 		dist[s] = 0
-		queue := []int32{s}
+		queue := append(sc.queue[:0], s)
 		inQueue[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
 			inQueue[v] = false
 			for e := nw.first[v]; e != -1; e = nw.next[e] {
 				w := nw.to[e]
@@ -160,6 +178,7 @@ func (nw *Network) MinCostFlow(s, t int32, limit int32) (flowVal, totalCost int3
 				}
 			}
 		}
+		sc.queue = queue
 		if parentEdge[t] == -1 {
 			break
 		}

@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/flow"
 )
@@ -35,9 +36,28 @@ func Fan(k int, src uint64, targets []uint64) ([][]uint64, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	g, err := NewGraph(k)
+	s, err := fanSolvers[k]()
 	if err != nil {
 		return nil, err
 	}
-	return flow.VertexDisjointFan(g, src, targets)
+	return s.Fan(src, targets)
+}
+
+// fanSolvers holds one fan solver per dimension, built on first use: every
+// fan in Q_k runs on the same split network. A solver keeps that network
+// and up to one working copy per processor, each 2^(k+1)·(k+1) edge entries
+// of 16 bytes: 14 KB at the hierarchical hypercube's k <= 6, 36 MB at
+// MaxFanDim.
+var fanSolvers [MaxFanDim + 1]func() (*flow.FanSolver, error)
+
+func init() {
+	for k := range fanSolvers {
+		fanSolvers[k] = sync.OnceValues(func() (*flow.FanSolver, error) {
+			g, err := NewGraph(k)
+			if err != nil {
+				return nil, err
+			}
+			return flow.NewFanSolver(g)
+		})
+	}
 }
