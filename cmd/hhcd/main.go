@@ -2,10 +2,11 @@
 // length-prefixed wire protocols of internal/pathsvc over TCP — JSON v1
 // and binary v2, detected per frame, so clients of either version (and
 // mixed-version frames on one connection) are answered in kind — backed by
-// the container cache, with bounded admission, per-request deadlines,
-// in-flight coalescing of identical queries, and width degradation under
-// queue pressure. SIGINT/SIGTERM triggers a graceful drain: in-flight and
-// queued requests are answered before the process exits 0.
+// the container cache (which builds each container once, however many
+// requests ask for it at once), with bounded admission, per-request
+// deadlines, and width degradation under queue pressure. SIGINT/SIGTERM
+// triggers a graceful drain: in-flight and queued requests are answered
+// before the process exits 0.
 //
 // With -peers, N hhcd processes form one logical sharded service: a
 // consistent-hash ring over the canonical query key assigns each pair an

@@ -127,7 +127,6 @@ type report struct {
 	Sent           int64   `json:"sent"`
 	Completed      int64   `json:"completed"`
 	Degraded       int64   `json:"degraded"`
-	Coalesced      int64   `json:"coalesced"`
 	Overload       int64   `json:"overload"`
 	Deadline       int64   `json:"deadline"`
 	Shutdown       int64   `json:"shutdown"`
@@ -185,7 +184,6 @@ type peerReport struct {
 // tally is the shared outcome ledger the workers update atomically.
 type tally struct {
 	sent, completed, degraded    atomic.Int64
-	coalesced                    atomic.Int64
 	overload, deadline, shutdown atomic.Int64
 	failed, protocolErrors       atomic.Int64
 	// reconnects counts every redial (dial failures and poison recoveries);
@@ -378,7 +376,6 @@ func run(w io.Writer, args []string, o loadOpts) error {
 		Sent:           tl.sent.Load(),
 		Completed:      tl.completed.Load(),
 		Degraded:       tl.degraded.Load(),
-		Coalesced:      tl.coalesced.Load(),
 		Overload:       tl.overload.Load(),
 		Deadline:       tl.deadline.Load(),
 		Shutdown:       tl.shutdown.Load(),
@@ -549,8 +546,8 @@ func pace(tokens chan<- struct{}, stop <-chan struct{}, qps float64, tl *tally) 
 // echo is the server-side telemetry a completed response carried,
 // protocol-independent (filled from *Response on v1, ResponseV2 on v2).
 type echo struct {
-	degraded, coalesced bool
-	queueNS, execNS     int64
+	degraded        bool
+	queueNS, execNS int64
 }
 
 // drive runs one worker's request loop until the deadline. Workers
@@ -601,17 +598,9 @@ func drive(rc *pathsvc.Reconn, g *hhc.Graph, pool []gen.Pair, o loadOpts,
 			if e.degraded {
 				tl.degraded.Add(1)
 			}
-			if e.coalesced {
-				tl.coalesced.Add(1)
-			}
-			// Coalesced answers rode an in-flight query and never queued;
-			// their zero queue_ns would drag the wait percentiles below
-			// what queued requests actually saw, so only exec is pooled.
 			if e.execNS > 0 {
 				s.exec = append(s.exec, float64(e.execNS)/1e6)
-				if !e.coalesced {
-					s.queue = append(s.queue, float64(e.queueNS)/1e6)
-				}
+				s.queue = append(s.queue, float64(e.queueNS)/1e6)
 			}
 		case errors.Is(err, pathsvc.ErrOverload):
 			tl.overload.Add(1)
@@ -677,8 +666,7 @@ func issue(c *pathsvc.Client, g *hhc.Graph, p gen.Pair, pool []gen.Pair,
 	if err != nil || resp == nil {
 		return echo{}, err
 	}
-	return echo{degraded: resp.Degraded, coalesced: resp.Coalesced,
-		queueNS: resp.QueueNS, execNS: resp.ExecNS}, nil
+	return echo{degraded: resp.Degraded, queueNS: resp.QueueNS, execNS: resp.ExecNS}, nil
 }
 
 // issueV2 sends one request of the configured kind over the binary wire,
@@ -715,8 +703,7 @@ func issueV2(c *pathsvc.Client, g *hhc.Graph, p gen.Pair, pool []gen.Pair,
 	if err := c.DoV2(req, resp); err != nil {
 		return echo{}, err
 	}
-	return echo{degraded: resp.Degraded, coalesced: resp.Coalesced,
-		queueNS: resp.QueueNS, execNS: resp.ExecNS}, nil
+	return echo{degraded: resp.Degraded, queueNS: resp.QueueNS, execNS: resp.ExecNS}, nil
 }
 
 func printReport(w io.Writer, r report) {
@@ -725,7 +712,6 @@ func printReport(w io.Writer, r report) {
 	fmt.Fprintf(w, "  sent       %d\n", r.Sent)
 	fmt.Fprintf(w, "  completed  %d (%.0f qps)\n", r.Completed, r.AchievedQPS)
 	fmt.Fprintf(w, "  degraded   %d\n", r.Degraded)
-	fmt.Fprintf(w, "  coalesced  %d\n", r.Coalesced)
 	fmt.Fprintf(w, "  overload   %d\n", r.Overload)
 	fmt.Fprintf(w, "  deadline   %d\n", r.Deadline)
 	fmt.Fprintf(w, "  shutdown   %d\n", r.Shutdown)

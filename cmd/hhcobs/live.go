@@ -193,10 +193,9 @@ func renderService(w io.Writer, series obs.SeriesSnapshot, prom map[string]float
 		return
 	}
 	p, lat := latestPoint(series), requestLatency(series)
-	fmt.Fprintf(w, "  service   qps %s  shed %s/s  coalesced %s/s  degraded %s/s\n",
+	fmt.Fprintf(w, "  service   qps %s  shed %s/s  degraded %s/s\n",
 		fmtRate(p.Rates["pathsvc_completed_total"]),
 		fmtRate(p.Rates["pathsvc_shed_total"]),
-		fmtRate(p.Rates["pathsvc_coalesced_total"]),
 		fmtRate(p.Rates["pathsvc_degraded_total"]))
 	fmt.Fprintf(w, "  queue     depth %.0f/%.0f  active workers %.0f  open conns %.0f\n",
 		prom["pathsvc_queue_depth"], prom["pathsvc_queue_capacity"],

@@ -77,7 +77,7 @@ func startTestCluster(t *testing.T, n, m int) *testCluster {
 func checkLedger(t *testing.T, srv *pathsvc.Server) {
 	t.Helper()
 	snap := srv.Counters()
-	if terminal := snap.Completed + snap.Deadline + snap.Failed + snap.Shed + snap.Refused; snap.Requests != terminal {
+	if terminal := snap.Terminal(); snap.Requests != terminal {
 		t.Errorf("ledger imbalance: requests=%d terminal=%d (%s)", snap.Requests, terminal, snap)
 	}
 }

@@ -389,55 +389,79 @@ func TestWireCompatMatrix(t *testing.T) {
 	_ = srv
 }
 
-// TestMixedProtocolCoalesce: a v1 leader and a v2 waiter on the same
-// endpoints share one construction, and each receives its answer in its
-// own encoding.
+// TestMixedProtocolCoalesce: a miss and three duplicates of it, from v1 and
+// v2 clients, arrive while both workers are held. Each duplicate is
+// queued and admitted on its own, and each gets a full answer in its own
+// encoding, yet the cache's singleflight (or memo) builds the container once.
 func TestMixedProtocolCoalesce(t *testing.T) {
-	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 8})
+	srv, addr := startServer(t, Config{M: 3, Workers: 2, QueueDepth: 8})
 	release := make(chan struct{})
 	srv.stallForTest = func() { <-release }
 
-	u, v := hhc.Node{X: 0x5, Y: 1}, hhc.Node{X: 0xa, Y: 6}
 	g, _ := hhc.New(3)
+	u, v := hhc.Node{X: 0x5, Y: 1}, hhc.Node{X: 0xa, Y: 6}
 	us, vs := g.FormatNode(u), g.FormatNode(v)
-
-	errs := make(chan error, 2)
-	var v1resp *Response
-	var v2resp ResponseV2
-	go func() {
-		c, err := Dial(addr)
+	type answer struct {
+		proto     int
+		nodes     [][]hhc.Node // v2 answer
+		text      [][]string   // v1 answer
+		width     int
+		coalesced bool
+		err       error
+	}
+	protos := []int{ProtocolVersion, ProtocolV2, ProtocolVersion, ProtocolV2}
+	answers := make(chan answer, len(protos))
+	for _, proto := range protos {
+		c, err := DialWith(addr, DialOptions{Proto: proto})
 		if err != nil {
-			errs <- err
-			return
+			t.Fatal(err)
 		}
-		defer c.Close()
-		v1resp, err = c.Paths(us, vs, 0, time.Minute)
-		errs <- err
-	}()
-	go func() {
-		c, err := DialWith(addr, DialOptions{Proto: ProtocolV2})
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer c.Close()
-		errs <- c.PathsV2(u, v, 0, time.Minute, &v2resp)
-	}()
-	waitFor(t, "one construction, one coalesced waiter", func() bool {
-		cs := srv.Counters()
-		return cs.Admitted == 1 && cs.Coalesced == 1
+		t.Cleanup(func() { c.Close() })
+		go func() {
+			a := answer{proto: proto}
+			if proto == ProtocolV2 {
+				var resp ResponseV2
+				a.err = c.PathsV2(u, v, 0, time.Minute, &resp)
+				a.nodes, a.width, a.coalesced = resp.Paths, resp.Width, resp.Coalesced
+			} else if resp, err := c.Paths(us, vs, 0, time.Minute); err != nil {
+				a.err = err
+			} else {
+				a.text, a.width, a.coalesced = resp.Paths, resp.Width, resp.Coalesced
+			}
+			answers <- a
+		}()
+	}
+	waitFor(t, "every duplicate admitted", func() bool {
+		return srv.Counters().Admitted == int64(len(protos))
 	})
 	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("mixed coalesce request: %v", err)
+	for range protos {
+		a := <-answers
+		if a.err != nil {
+			t.Fatalf("v%d request: %v", a.proto, a.err)
+		}
+		if n := len(a.nodes) + len(a.text); n != 4 || a.width != 4 {
+			t.Fatalf("v%d answer has %d paths, width %d, want 4 and 4", a.proto, n, a.width)
+		}
+		if a.coalesced {
+			t.Fatalf("v%d answer flagged coalesced", a.proto)
+		}
+		verifyContainer(t, g, us, vs, a.text)
+		for i, path := range a.nodes {
+			if err := g.VerifyPath(u, v, path); err != nil {
+				t.Fatalf("v2 path %d: %v", i, err)
+			}
 		}
 	}
-	if len(v1resp.Paths) != 4 || len(v2resp.Paths) != 4 {
-		t.Fatalf("v1 got %d paths, v2 got %d, want 4 and 4", len(v1resp.Paths), len(v2resp.Paths))
+	if admitted := srv.Counters().Admitted; admitted != int64(len(protos)) {
+		t.Fatalf("admitted = %d, want %d: each duplicate takes its own queue slot", admitted, len(protos))
 	}
-	if cs := srv.CacheSnapshot(); cs.Misses != 1 {
-		t.Fatalf("cache misses = %d, want 1 shared construction", cs.Misses)
+	cs := srv.CacheSnapshot()
+	if cs.Misses != 1 {
+		t.Fatalf("cache misses = %d, want 1 shared construction (%s)", cs.Misses, cs)
+	}
+	if lookups := cs.Lookups(); lookups != int64(len(protos)) {
+		t.Fatalf("cache counted %d lookups, want one per worker execution (%s)", lookups, cs)
 	}
 }
 

@@ -34,8 +34,6 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 		"Requests answered overload because the admission queue was full.", s.counters.Shed.Load)
 	reg.CounterFunc("pathsvc_refused_total",
 		"Requests answered shutdown because the server was draining.", s.counters.Refused.Load)
-	reg.CounterFunc("pathsvc_coalesced_total",
-		"Requests answered by piggybacking on an identical in-flight query.", s.counters.Coalesced.Load)
 	reg.CounterFunc("pathsvc_degraded_total",
 		"Responses truncated below full container width by queue pressure.", s.counters.Degraded.Load)
 	reg.CounterFunc("pathsvc_deadline_exceeded_total",
@@ -64,7 +62,7 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 			"Time admitted requests spent waiting for a worker (zero for cache hits answered inline).",
 			obs.DefLatencyBuckets),
 		execSeconds: reg.Histogram("pathsvc_exec_seconds",
-			"Construction/execution latency, once per executed task (coalesced recipients share it).",
+			"Construction/execution latency, once per executed task or inline cache hit.",
 			obs.DefLatencyBuckets),
 	}
 	// Exemplars tie fat latency buckets to retrievable rids in
@@ -118,9 +116,8 @@ func (m *svcMetrics) observeQueueWait(d time.Duration) {
 	}
 }
 
-// observeExec records one construction/execution latency sample (shared by
-// every coalesced recipient, so recorded once per leader), retained as a
-// bucket exemplar when the request carried a rid. Nil-safe.
+// observeExec records one construction/execution latency sample, retained
+// as a bucket exemplar when the request carried a rid. Nil-safe.
 func (m *svcMetrics) observeExec(d time.Duration, rid string) {
 	if m != nil {
 		m.execSeconds.ObserveDurationEx(d, rid)
@@ -152,11 +149,11 @@ func (s *Server) ExecExemplars() []obs.Exemplar {
 // exec and encode. It is the Req itself under a pathsvc name, so tracing
 // a request allocates no handle beyond the Req. Phases move from the
 // connection's reader goroutine to a worker and to wherever the response
-// is rendered; the channel send that moves a task to a worker (and the
-// inflightMu critical section that attaches a waiter to its leader)
-// provide the happens-before edges obs.Req requires. A nil *reqTrace is
-// the disabled path; every method is nil-receiver safe, so the serving
-// code never branches on whether request tracing is on.
+// is rendered; the channel send that moves a task to a worker and the
+// forward goroutine's start provide the happens-before edges obs.Req
+// requires. A nil *reqTrace is the disabled path; every method is
+// nil-receiver safe, so the serving code never branches on whether
+// request tracing is on.
 type reqTrace obs.Req
 
 func (t *reqTrace) req() *obs.Req { return (*obs.Req)(t) }
@@ -210,8 +207,7 @@ func (t *reqTrace) setWidth(k int) {
 func (t *reqTrace) phase(name string) { t.req().Phase(name) }
 
 // endPhase ends the open phase without opening another: the request now
-// waits in no phase of its own (a coalesced waiter, or a task between
-// dequeue and execution).
+// waits in no phase of its own (a task between dequeue and execution).
 func (t *reqTrace) endPhase() { t.req().EndPhase() }
 
 // endForward ends the forward phase annotated with the hop's remote

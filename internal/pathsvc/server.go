@@ -162,16 +162,15 @@ const (
 // updated atomically on the serving path and re-exported through obs
 // callbacks when a registry is configured.
 type Counters struct {
-	Conns     stats.Counter // accepted connections
-	Requests  stats.Counter // decoded requests of any op
-	Admitted  stats.Counter // requests queued for a worker, or cache hits answered inline (zero queue wait)
-	Coalesced stats.Counter // requests piggybacked on an identical in-flight query
-	Degraded  stats.Counter // responses truncated below full width by queue pressure
+	Conns    stats.Counter // accepted connections
+	Requests stats.Counter // decoded requests of any op
+	Admitted stats.Counter // requests queued for a worker, or cache hits answered inline (zero queue wait)
+	Degraded stats.Counter // responses truncated below full width by queue pressure
 	// The terminal buckets: respond counts every decoded request into
 	// exactly one, so Requests equals their sum once the server is idle.
 	Completed stats.Counter // successful responses
 	Deadline  stats.Counter // requests that missed their deadline
-	Shed      stats.Counter // overload answers (queue full), coalesced waiters included
+	Shed      stats.Counter // overload answers (queue full)
 	Refused   stats.Counter // shutdown answers (the server was draining)
 	Failed    stats.Counter // bad_request / unroutable / internal responses
 	// Cluster-mode ledger (all zero without a Router).
@@ -184,15 +183,15 @@ type Counters struct {
 
 // Snapshot is a point-in-time reading of Counters.
 type Snapshot struct {
-	Conns, Requests, Admitted, Shed, Refused, Coalesced            int64
+	Conns, Requests, Admitted, Shed, Refused                       int64
 	Degraded, Deadline, Failed, Completed                          int64
 	Forwarded, ForwardErrors, ForwardedIn, DegradedLoc, BatchLocal int64
 }
 
 // String renders the snapshot on one line for CLI summaries.
 func (s Snapshot) String() string {
-	line := fmt.Sprintf("conns=%d requests=%d admitted=%d shed=%d refused=%d coalesced=%d degraded=%d deadline=%d failed=%d completed=%d",
-		s.Conns, s.Requests, s.Admitted, s.Shed, s.Refused, s.Coalesced, s.Degraded, s.Deadline, s.Failed, s.Completed)
+	line := fmt.Sprintf("conns=%d requests=%d admitted=%d shed=%d refused=%d degraded=%d deadline=%d failed=%d completed=%d",
+		s.Conns, s.Requests, s.Admitted, s.Shed, s.Refused, s.Degraded, s.Deadline, s.Failed, s.Completed)
 	if s.Forwarded > 0 || s.ForwardErrors > 0 || s.ForwardedIn > 0 || s.DegradedLoc > 0 || s.BatchLocal > 0 {
 		line += fmt.Sprintf(" forwarded=%d fwd_errors=%d fwd_in=%d degraded_local=%d batch_local=%d",
 			s.Forwarded, s.ForwardErrors, s.ForwardedIn, s.DegradedLoc, s.BatchLocal)
@@ -204,14 +203,6 @@ func (s Snapshot) String() string {
 // exactly one, so a quiescent server has Terminal() == Requests.
 func (s Snapshot) Terminal() int64 {
 	return s.Completed + s.Deadline + s.Failed + s.Shed + s.Refused
-}
-
-// coalesceKey identifies queries that may share one construction: same
-// endpoints on the server's one topology. Width preferences (MaxPaths,
-// shedding) stay per-requester — the leader computes the full container and
-// every recipient truncates its own copy.
-type coalesceKey struct {
-	u, v hhc.Node
 }
 
 // request is one decoded frame in node-native form, whichever encoding it
@@ -240,10 +231,10 @@ func (r *request) pairErr(i, n int, msg string) {
 	r.pairErrs[i] = msg
 }
 
-// pendingReq is everything needed to answer one requester: leader and
-// coalesced waiters carry the same shape. proto records which wire version
-// the request arrived in, so coalesced v1 and v2 requesters of the same
-// construction each get an answer in their own encoding.
+// pendingReq is everything needed to answer one requester, whether or not
+// it became a task: ping, info, bad_request and refusals are answered from
+// it alone. proto records which wire version the request arrived in, so the
+// answer goes out in the requester's own encoding.
 type pendingReq struct {
 	pc       *serverConn
 	proto    uint8 // ProtocolVersion or ProtocolV2
@@ -253,11 +244,8 @@ type pendingReq struct {
 	echo     [][2]string // v1 batch pair text (see request.echo)
 	maxPaths int
 	degraded bool
-	// coalesced marks a waiter answered by piggybacking on the leader's
-	// construction; its queueNS stays 0 (it never entered the queue).
-	coalesced bool
-	queueNS   int64 // time spent waiting for a worker, set at pickup
-	tr        *reqTrace
+	queueNS  int64 // time spent waiting for a worker, set at pickup
+	tr       *reqTrace
 	// deadline is the absolute per-request deadline (arrival + the request
 	// or default timeout). A plain time.Time instead of a context: the serve
 	// path only ever polls expiry, and skipping context.WithTimeout saves a
@@ -275,7 +263,6 @@ type task struct {
 	batch    []BatchItemV2
 	faults   map[hhc.Node]bool
 	enqueued time.Time
-	lead     bool // owns the entry for {u, v} in Server.inflight
 	// forwarded mirrors the wire's hop-guard bit: the query already crossed
 	// a peer hop, so this server must answer it locally whatever the ring says.
 	forwarded bool
@@ -295,16 +282,16 @@ func (s *Server) countAdmitted(t *task) {
 	}
 }
 
-// outcome is a worker's answer, shared by the leader and all waiters.
+// outcome is the answer to one request.
 type outcome struct {
 	code       string
 	errMsg     string
 	paths      [][]hhc.Node
 	results    []BatchItemV2
 	retryAfter time.Duration
-	execNS     int64 // construction time, shared by every coalesced recipient
-	// width, full, and degraded describe one recipient's container, set by
-	// respond on its own copy.
+	execNS     int64 // execution time (construction, or the cache lookup of a hit)
+	// width, full, and degraded describe the container as sent, set by
+	// respond.
 	width, full int
 	degraded    bool
 }
@@ -420,10 +407,6 @@ type Server struct {
 	workerWG      sync.WaitGroup
 	activeWorkers atomic.Int64
 
-	// inflight maps each leading query to the waiters coalesced onto it.
-	inflightMu sync.Mutex
-	inflight   map[coalesceKey][]pendingReq // guarded by inflightMu
-
 	// fwdSem bounds in-flight peer forwards (nil without a Router); a full
 	// semaphore downgrades to an immediate local answer, so forwards can
 	// never starve the connection readers or the worker pool.
@@ -505,7 +488,6 @@ func New(cfg Config) (*Server, error) {
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		inflight: make(map[coalesceKey][]pendingReq),
 	}
 	if cfg.Router != nil {
 		s.fwdSem = make(chan struct{}, cfg.ForwardConcurrency)
@@ -528,7 +510,6 @@ func (s *Server) Counters() Snapshot {
 		Admitted:      s.counters.Admitted.Load(),
 		Shed:          s.counters.Shed.Load(),
 		Refused:       s.counters.Refused.Load(),
-		Coalesced:     s.counters.Coalesced.Load(),
 		Degraded:      s.counters.Degraded.Load(),
 		Deadline:      s.counters.Deadline.Load(),
 		Failed:        s.counters.Failed.Load(),
@@ -905,9 +886,9 @@ func (s *Server) admit(t *task) {
 
 // answerHit answers a path query from the cache on the reader goroutine,
 // reporting false (having done nothing) on a miss. A hit takes no queue
-// slot, no worker and no in-flight entry, and the cache makes no copy: the
-// canonical container is mapped into the reader's scratch, which respond
-// encodes before the reader serves another frame. Everything else matches
+// slot and no worker, and the cache makes no copy: the canonical container
+// is mapped into the reader's scratch, which respond encodes before the
+// reader serves another frame. Everything else matches
 // a queued answer: it is admitted (first, so Admitted >= Completed holds at
 // every scrape) with a zero queue wait, it records an exec sample, its
 // degrade decision is taken from the queue fill, and respond applies its
@@ -928,33 +909,17 @@ func (s *Server) answerHit(t *task) bool {
 	return true
 }
 
-// admitLocal runs the local tail of the pipeline: the degrade
-// decision, in-flight coalescing of identical path queries, and admission
-// control. It runs on the connection's reader goroutine (or a forward
-// goroutine falling back after a peer failure), so AdmitBlock backpressure
-// parks exactly the connection that is overloading the queue.
+// admitLocal runs the local tail of the pipeline: the degrade decision
+// and admission control. A duplicate of a miss still under construction is
+// queued like any other: its worker's cache.Paths answers it from the memo
+// or joins the construction in flight. It runs on the connection's reader
+// goroutine (or a forward goroutine falling back after a peer failure), so
+// AdmitBlock backpressure parks exactly the connection that is overloading
+// the queue.
 func (s *Server) admitLocal(t *task) {
 	// The degrade decision is taken at admission time: a queue filling past
 	// the shed threshold marks new path queries for width truncation.
 	t.degraded = len(s.queue) >= s.shedHigh
-
-	if t.op == OpPaths {
-		key := coalesceKey{u: t.u, v: t.v}
-		s.inflightMu.Lock()
-		if waiters, ok := s.inflight[key]; ok {
-			t.coalesced = true
-			t.tr.setAttr("coalesced", "true")
-			t.tr.endPhase()
-			s.inflight[key] = append(waiters, t.pendingReq)
-			s.inflightMu.Unlock()
-			s.counters.Coalesced.Inc()
-			return
-		}
-		s.inflight[key] = nil
-		s.inflightMu.Unlock()
-		t.lead = true
-	}
-
 	t.enqueued = time.Now()
 	t.tr.phase(obs.PhaseQueue)
 	select {
@@ -971,16 +936,16 @@ func (s *Server) admitLocal(t *task) {
 			s.countAdmitted(t)
 			return
 		case <-s.quit:
-			s.deliverAll(t, outcome{code: CodeShutdown, errMsg: ErrShutdown.Error()})
+			s.respond(t.pendingReq, outcome{code: CodeShutdown, errMsg: ErrShutdown.Error()}, false)
 			return
 		}
 	}
 	// AdmitReject: shed now, with a back-off hint.
-	s.deliverAll(t, outcome{
+	s.respond(t.pendingReq, outcome{
 		code:       CodeOverload,
 		errMsg:     ErrOverload.Error(),
 		retryAfter: s.cfg.RetryAfter,
-	})
+	}, false)
 }
 
 // forward relays a non-owned query to its owning peer on a dedicated
@@ -1035,7 +1000,7 @@ func (s *Server) runForward(t *task) {
 	}
 	remaining := time.Until(t.deadline)
 	if remaining <= 0 {
-		s.deliverAll(t, outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()})
+		s.respond(t.pendingReq, outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error()}, false)
 		return
 	}
 	req.TimeoutNS = int64(remaining)
@@ -1049,7 +1014,7 @@ func (s *Server) runForward(t *task) {
 		t.tr.endForward(peer, resp.QueueNS, resp.ExecNS)
 		t.queueNS = resp.QueueNS
 		s.counters.Forwarded.Inc()
-		s.deliverAll(t, outcome{paths: resp.Paths, execNS: resp.ExecNS})
+		s.respond(t.pendingReq, outcome{paths: resp.Paths, execNS: resp.ExecNS}, false)
 		return
 	}
 	var se *ServerError
@@ -1058,12 +1023,12 @@ func (s *Server) runForward(t *task) {
 		// internal): that verdict is the answer — the hop itself worked.
 		t.tr.endForward(peer, resp.QueueNS, resp.ExecNS)
 		s.counters.Forwarded.Inc()
-		s.deliverAll(t, outcome{code: se.Code, errMsg: se.Msg})
+		s.respond(t.pendingReq, outcome{code: se.Code, errMsg: se.Msg}, false)
 		return
 	}
 	// The peer is unreachable, the stream broke, or the owner is too loaded
 	// to help: degrade to a correctness-preserving local answer (its queue
-	// phase, or its coalesced wait, ends the forward span).
+	// phase ends the forward span).
 	s.counters.ForwardErrors.Inc()
 	s.counters.DegradedLocal.Inc()
 	s.admitLocal(t)
@@ -1106,7 +1071,7 @@ func (s *Server) process(t *task) {
 		s.met.observeExec(time.Duration(out.execNS), t.rid)
 		t.tr.endPhase()
 	}
-	s.deliverAll(t, out)
+	s.respond(t.pendingReq, out, false)
 }
 
 // doPaths constructs (or fetches) the full-width container; truncation is
@@ -1198,39 +1163,20 @@ func (s *Server) noteBatchLocal(t *task, nonOwned bool) {
 	}
 }
 
-// deliverAll answers the leader and, for coalesced queries, every waiter
-// that piggybacked on it. The in-flight entry is removed first so late
-// duplicates start a fresh construction instead of attaching to a
-// completed one.
-func (s *Server) deliverAll(t *task, out outcome) {
-	var waiters []pendingReq
-	if t.lead {
-		key := coalesceKey{u: t.u, v: t.v}
-		s.inflightMu.Lock()
-		waiters = s.inflight[key]
-		delete(s.inflight, key)
-		s.inflightMu.Unlock()
-	}
-	s.respond(t.pendingReq, out, false)
-	for _, w := range waiters {
-		s.respond(w, out, false)
-	}
-}
-
-// respond answers one recipient: its own deadline check, its own width
-// truncation, its one terminal counter and latency sample, then the
-// encoder of the wire version the request arrived in. It is the only
-// place a request's response reservation is released. out is the
-// recipient's own copy; the paths it shares with other recipients are
-// only ever re-sliced, never written. hold is true only for an answer the
-// reader gives itself while more whole frames are buffered (see write).
+// respond answers one request: its deadline check, its width truncation,
+// its one terminal counter and latency sample, then the encoder of the
+// wire version the request arrived in. It is the only place a request's
+// response reservation is released. out.paths is only ever re-sliced,
+// never written (it may be the reader's hit scratch). hold is true only
+// for an answer the reader gives itself while more whole frames are
+// buffered (see write).
 //
 //hhc:hotpath
 func (s *Server) respond(p pendingReq, out outcome, hold bool) {
 	defer p.pc.pending.Done()
 	if out.code == CodeOK && !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		// The shared construction finished, but after this requester's own
-		// deadline: a stale answer is still a missed deadline.
+		// The answer is ready, but after the request's deadline: a stale
+		// answer is still a missed deadline.
 		out = outcome{code: CodeDeadline, errMsg: ErrDeadlineExceeded.Error(), execNS: out.execNS}
 	}
 	switch out.code {
@@ -1284,17 +1230,17 @@ func (s *Server) respond(p pendingReq, out outcome, hold bool) {
 }
 
 // encodeV2 appends the binary frame payload answering p. The paths are
-// shared read-only (out.paths is a worker's container, shared by every
-// coalesced recipient, or the reader's hit scratch): the encoder walks
-// them exactly once on this goroutine, with no copy and no per-node
-// formatting — the bulk of the v2 serve path's allocation win.
+// read-only (out.paths is a worker's container, a forwarded answer, or the
+// reader's hit scratch): the encoder walks them exactly once on this
+// goroutine, with no copy and no per-node formatting — the bulk of the v2
+// serve path's allocation win.
 //
 //hhc:hotpath
 func (s *Server) encodeV2(buf []byte, p *pendingReq, out *outcome) []byte {
 	op, _ := opCodeOf(p.op)
 	resp := ResponseV2{ID: p.id, RID: p.rid, Op: op, Code: statusOf(out.code), Err: out.errMsg,
 		QueueNS: p.queueNS, ExecNS: out.execNS, RetryAfterNS: int64(out.retryAfter),
-		Coalesced: p.coalesced, Degraded: out.degraded, Width: out.width, Full: out.full,
+		Degraded: out.degraded, Width: out.width, Full: out.full,
 		Paths: out.paths, Results: out.results}
 	if p.op == OpInfo {
 		resp.M = s.g.M()
@@ -1335,7 +1281,7 @@ func (s *Server) encodeV1(buf []byte, p *pendingReq, out *outcome) []byte {
 	}
 	resp := &Response{Ver: ProtocolVersion, ID: p.id, RID: p.rid, Op: p.op,
 		Code: out.code, Err: out.errMsg, RetryAfterMS: wireTimeoutMS(out.retryAfter),
-		QueueNS: p.queueNS, ExecNS: out.execNS, Coalesced: p.coalesced,
+		QueueNS: p.queueNS, ExecNS: out.execNS,
 		Degraded: out.degraded, Width: out.width, Full: out.full}
 	resp.Paths = format(out.paths)
 	if out.results != nil {

@@ -54,7 +54,7 @@ func startServerOn(t *testing.T, cfg Config, ln net.Listener) (*Server, string) 
 func checkLedger(tb testing.TB, srv *Server) {
 	tb.Helper()
 	snap := srv.Counters()
-	if terminal := snap.Completed + snap.Deadline + snap.Failed + snap.Shed + snap.Refused; snap.Requests != terminal {
+	if terminal := snap.Terminal(); snap.Requests != terminal {
 		tb.Errorf("ledger imbalance: requests=%d terminal=%d (%s)", snap.Requests, terminal, snap)
 	}
 }
@@ -198,7 +198,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	// Distinct pairs (no coalescing), one client each, fired concurrently.
+	// Distinct pairs, one client each, fired concurrently.
 	g, _ := hhc.New(3)
 	results := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
@@ -366,14 +366,17 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	<-occDone
 }
 
-// TestCoalesceInflight: identical (u, v) queries issued while the first is
-// still executing share one construction and all receive full answers.
+// TestCoalesceInflight: identical (u, v) queries that arrive while both
+// workers are held are each queued and admitted on their own, each gets a
+// full answer, and the cache's singleflight (or memo) builds the container
+// once for the whole fan-in.
 func TestCoalesceInflight(t *testing.T) {
-	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 8})
+	srv, addr := startServer(t, Config{M: 3, Workers: 2, QueueDepth: 8})
 	release := make(chan struct{})
 	srv.stallForTest = func() { <-release }
 
 	const dup = 3
+	g, _ := hhc.New(3)
 	u, v := "0x5:1", "0xa:6"
 	results := make(chan *Response, 1+dup)
 	errs := make(chan error, 1+dup)
@@ -382,6 +385,7 @@ func TestCoalesceInflight(t *testing.T) {
 			c, err := Dial(addr)
 			if err != nil {
 				errs <- err
+				results <- nil
 				return
 			}
 			defer c.Close()
@@ -390,24 +394,33 @@ func TestCoalesceInflight(t *testing.T) {
 			results <- resp
 		}()
 	}
-	waitFor(t, "duplicates coalesced", func() bool {
-		return srv.Counters().Coalesced == dup
+	waitFor(t, "every duplicate admitted", func() bool {
+		return srv.Counters().Admitted == 1+dup
 	})
-	if admitted := srv.Counters().Admitted; admitted != 1 {
-		t.Fatalf("admitted %d constructions for %d identical queries, want 1", admitted, 1+dup)
-	}
 	close(release)
 	for i := 0; i < 1+dup; i++ {
 		if err := <-errs; err != nil {
-			t.Fatalf("coalesced request %d: %v", i, err)
+			t.Fatalf("duplicate request %d: %v", i, err)
 		}
-		if resp := <-results; len(resp.Paths) != 4 {
-			t.Fatalf("coalesced request %d got %d paths, want 4", i, len(resp.Paths))
+		resp := <-results
+		if len(resp.Paths) != 4 || resp.Width != 4 {
+			t.Fatalf("duplicate request %d got %d paths, width %d, want 4 and 4", i, len(resp.Paths), resp.Width)
 		}
+		if resp.Coalesced {
+			t.Fatalf("duplicate request %d flagged coalesced", i)
+		}
+		verifyContainer(t, g, u, v, resp.Paths)
+	}
+	if admitted := srv.Counters().Admitted; admitted != 1+dup {
+		t.Fatalf("admitted = %d, want %d: each duplicate takes its own queue slot", admitted, 1+dup)
 	}
 	// The cache saw exactly one construction for the whole fan-in.
-	if cs := srv.CacheSnapshot(); cs.Misses != 1 {
-		t.Fatalf("cache misses = %d, want 1", cs.Misses)
+	cs := srv.CacheSnapshot()
+	if cs.Misses != 1 {
+		t.Fatalf("cache misses = %d, want 1 (%s)", cs.Misses, cs)
+	}
+	if lookups := cs.Lookups(); lookups != 1+dup {
+		t.Fatalf("cache counted %d lookups, want one per worker execution (%s)", lookups, cs)
 	}
 }
 
@@ -436,8 +449,8 @@ func TestShedOverload(t *testing.T) {
 
 			// Occupy the worker, fill the queue, then overflow it, one step at
 			// a time: a second request racing the worker's pickup of the first
-			// would find the queue full and be shed. Distinct pairs keep
-			// coalescing out of the picture.
+			// would find the queue full and be shed. Distinct pairs keep the
+			// cache out of the picture.
 			bg := []struct{ u, v string }{{"0x1:0", "0x2:3"}, {"0x3:1", "0x4:4"}}
 			for i, p := range bg {
 				c := dial(t, addr)

@@ -70,52 +70,6 @@ func TestRIDPassThroughWithoutTracer(t *testing.T) {
 	}
 }
 
-// TestCoalescedTiming: waiters piggybacked on an in-flight query report
-// coalesced with zero queue time and the leader's shared exec time.
-func TestCoalescedTiming(t *testing.T) {
-	srv, addr := startServer(t, Config{M: 3, Workers: 1, QueueDepth: 8})
-	release := make(chan struct{})
-	srv.stallForTest = func() { <-release }
-
-	const dup = 3
-	u, v := "0x5:1", "0xa:6"
-	results := make(chan *Response, 1+dup)
-	for i := 0; i < 1+dup; i++ {
-		c := dial(t, addr)
-		go func() {
-			resp, err := c.Paths(u, v, 0, time.Minute)
-			if err != nil {
-				t.Errorf("paths: %v", err)
-			}
-			results <- resp
-		}()
-	}
-	waitFor(t, "duplicates coalesced", func() bool {
-		return srv.Counters().Coalesced == dup
-	})
-	close(release)
-
-	var coalesced int
-	for i := 0; i < 1+dup; i++ {
-		resp := <-results
-		if resp == nil {
-			t.Fatal("missing response")
-		}
-		if resp.Coalesced {
-			coalesced++
-			if resp.QueueNS != 0 {
-				t.Errorf("coalesced response has queue_ns = %d, want 0", resp.QueueNS)
-			}
-		}
-		if resp.ExecNS <= 0 {
-			t.Errorf("exec_ns = %d, want the shared construction time", resp.ExecNS)
-		}
-	}
-	if coalesced != dup {
-		t.Errorf("%d responses flagged coalesced, want %d", coalesced, dup)
-	}
-}
-
 // TestRequestTraceRecorded: a served request leaves a span tree covering
 // admission, queue wait, execution, and encode in the flight recorder.
 func TestRequestTraceRecorded(t *testing.T) {

@@ -3,8 +3,9 @@
 // (single, batch, and fault-avoiding variants) backed by internal/core and
 // internal/cache, plus the server-side production engineering the paper's
 // poly(n) bound makes possible — bounded admission queues, per-request
-// deadlines, in-flight coalescing of identical queries, and load shedding
-// that degrades container width before it drops requests.
+// deadlines, one construction per container however many requests ask for
+// it at once (the cache's singleflight), and load shedding that degrades
+// container width before it drops requests.
 //
 // # Wire format
 //
@@ -123,14 +124,14 @@ type Response struct {
 	// when the client sent none and request tracing is on. Empty when the
 	// server has tracing disabled and the client supplied nothing.
 	RID string `json:"rid,omitempty"`
-	// Server-side timing, filled for requests that went through the work
-	// queue: time spent waiting for a worker, construction time, and
-	// whether the answer piggybacked on an identical in-flight query
-	// (coalesced answers share ExecNS and report QueueNS = 0). Older
-	// clients ignore these fields; older servers omit them.
-	QueueNS   int64 `json:"queue_ns,omitempty"`
-	ExecNS    int64 `json:"exec_ns,omitempty"`
-	Coalesced bool  `json:"coalesced,omitempty"`
+	// Server-side timing: time spent waiting for a worker and execution
+	// time. Older clients ignore these fields; older servers omit them.
+	QueueNS int64 `json:"queue_ns,omitempty"`
+	ExecNS  int64 `json:"exec_ns,omitempty"`
+	// Coalesced is reserved: this server never sets it. Older servers set
+	// it on an answer shared with an identical in-flight query (QueueNS 0,
+	// the shared ExecNS); it is still decoded so their answers round-trip.
+	Coalesced bool `json:"coalesced,omitempty"`
 	// Code is CodeOK ("", omitted) on success, else one of the Code
 	// constants; Err carries the human-readable detail.
 	Code string `json:"code,omitempty"`

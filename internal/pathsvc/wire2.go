@@ -72,7 +72,7 @@ const (
 const (
 	flagRID       = 1 << 0 // request & response: rid tail present
 	flagDegraded  = 1 << 1 // response: container truncated by load shedding
-	flagCoalesced = 1 << 2 // response: answered off an in-flight duplicate
+	flagCoalesced = 1 << 2 // response: reserved; older servers set it on a shared in-flight answer
 	flagErr       = 1 << 3 // response: error-detail tail present
 	flagForwarded = 1 << 4 // request: relayed peer-to-peer once already (hop guard)
 	flagOrigin    = 1 << 5 // request: origin-peer tail present (forwarded trace context)
@@ -225,7 +225,7 @@ type ResponseV2 struct {
 	QueueNS      int64
 	ExecNS       int64
 	RetryAfterNS int64
-	Coalesced    bool
+	Coalesced    bool // reserved: never set by this server (see Response.Coalesced)
 	Degraded     bool
 	Width, Full  int
 	M            int
