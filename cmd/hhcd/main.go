@@ -147,7 +147,6 @@ func run(args []string, obsf *cliutil.Obs, m int, addr string, workers, queue in
 		// A conditional assignment, not cfg.Router = clu unconditionally: a
 		// nil *Cluster in a non-nil interface would look like a live router.
 		cfg.Router = clu
-		cfg.Peer = clu.Self()
 		if obsf.Registry != nil {
 			clu.Register(obsf.Registry)
 		}

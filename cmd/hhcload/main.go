@@ -293,7 +293,7 @@ func run(w io.Writer, args []string, o loadOpts) error {
 	if o.op == "route" {
 		// The fault picker draws nodes distinct from both endpoints, so the
 		// topology must have that many to give; reject impossible counts
-		// instead of spinning forever in issue.
+		// instead of spinning forever in draw.
 		if o.faults < 0 {
 			return fmt.Errorf("-faults %d out of range: must be non-negative", o.faults)
 		}
@@ -576,15 +576,10 @@ func drive(rc *pathsvc.Reconn, g *hhc.Graph, pool []gen.Pair, o loadOpts,
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
-		p := pool[r.Intn(len(pool))]
+		draw(&req, g, pool[r.Intn(len(pool))], pool, o, r)
 		tl.sent.Add(1)
 		start := time.Now()
-		var e echo
-		if c.Proto() >= pathsvc.ProtocolV2 {
-			e, err = issueV2(c, g, p, pool, o, r, &req, &resp)
-		} else {
-			e, err = issue(c, g, p, pool, o, r)
-		}
+		e, err := issue(c, g, &req, &resp)
 		elapsed := time.Since(start)
 		if err != nil {
 			s.errs++
@@ -633,47 +628,9 @@ func drive(rc *pathsvc.Reconn, g *hhc.Graph, pool []gen.Pair, o loadOpts,
 	return s
 }
 
-// issue sends one request of the configured kind over the v1 JSON wire.
-func issue(c *pathsvc.Client, g *hhc.Graph, p gen.Pair, pool []gen.Pair,
-	o loadOpts, r *rand.Rand) (echo, error) {
-	u, v := g.FormatNode(p.U), g.FormatNode(p.V)
-	var resp *pathsvc.Response
-	var err error
-	switch o.op {
-	case "route":
-		// Distinct faults avoiding both endpoints; run validated o.faults
-		// against the topology size, so this terminates.
-		fs := make([]string, 0, o.faults)
-		seen := make(map[hhc.Node]bool, o.faults)
-		for len(fs) < o.faults {
-			f := g.RandomNode(r)
-			if f != p.U && f != p.V && !seen[f] {
-				seen[f] = true
-				fs = append(fs, g.FormatNode(f))
-			}
-		}
-		resp, err = c.Route(u, v, fs, o.deadline)
-	case "batch":
-		bp := make([][2]string, 0, o.batch)
-		for len(bp) < o.batch {
-			q := pool[r.Intn(len(pool))]
-			bp = append(bp, [2]string{g.FormatNode(q.U), g.FormatNode(q.V)})
-		}
-		resp, err = c.Batch(bp, o.deadline)
-	default:
-		resp, err = c.Paths(u, v, o.maxPaths, o.deadline)
-	}
-	if err != nil || resp == nil {
-		return echo{}, err
-	}
-	return echo{degraded: resp.Degraded, queueNS: resp.QueueNS, execNS: resp.ExecNS}, nil
-}
-
-// issueV2 sends one request of the configured kind over the binary wire,
-// node-native and reusing the worker's request/response scratch so the
-// driver itself stays off the allocator's hot path.
-func issueV2(c *pathsvc.Client, g *hhc.Graph, p gen.Pair, pool []gen.Pair,
-	o loadOpts, r *rand.Rand, req *pathsvc.RequestV2, resp *pathsvc.ResponseV2) (echo, error) {
+// draw fills req, the worker's reused request, with one request of the
+// configured kind for the pair p.
+func draw(req *pathsvc.RequestV2, g *hhc.Graph, p gen.Pair, pool []gen.Pair, o loadOpts, r *rand.Rand) {
 	*req = pathsvc.RequestV2{
 		U: p.U, V: p.V,
 		Faults: req.Faults[:0], Pairs: req.Pairs[:0],
@@ -682,6 +639,8 @@ func issueV2(c *pathsvc.Client, g *hhc.Graph, p gen.Pair, pool []gen.Pair,
 	}
 	switch o.op {
 	case "route":
+		// Distinct faults avoiding both endpoints; run validated o.faults
+		// against the topology size, so this terminates.
 		req.Op = pathsvc.OpCodeRoute
 		seen := make(map[hhc.Node]bool, o.faults)
 		for len(req.Faults) < o.faults {
@@ -700,10 +659,43 @@ func issueV2(c *pathsvc.Client, g *hhc.Graph, p gen.Pair, pool []gen.Pair,
 	default:
 		req.Op = pathsvc.OpCodePaths
 	}
-	if err := c.DoV2(req, resp); err != nil {
+}
+
+// issue sends req in the connection's protocol. On v2 it goes out
+// node-native and is answered into resp, the worker's reused response, so
+// the driver itself stays off the allocator's hot path; on v1 its nodes
+// are formatted into a JSON request.
+func issue(c *pathsvc.Client, g *hhc.Graph, req *pathsvc.RequestV2, resp *pathsvc.ResponseV2) (echo, error) {
+	if c.Proto() >= pathsvc.ProtocolV2 {
+		if err := c.DoV2(req, resp); err != nil {
+			return echo{}, err
+		}
+		return echo{degraded: resp.Degraded, queueNS: resp.QueueNS, execNS: resp.ExecNS}, nil
+	}
+	u, v := g.FormatNode(req.U), g.FormatNode(req.V)
+	timeout := time.Duration(req.TimeoutNS)
+	var r1 *pathsvc.Response
+	var err error
+	switch req.Op {
+	case pathsvc.OpCodeRoute:
+		fs := make([]string, len(req.Faults))
+		for i, f := range req.Faults {
+			fs[i] = g.FormatNode(f)
+		}
+		r1, err = c.Route(u, v, fs, timeout)
+	case pathsvc.OpCodeBatch:
+		bp := make([][2]string, len(req.Pairs))
+		for i, q := range req.Pairs {
+			bp[i] = [2]string{g.FormatNode(q.U), g.FormatNode(q.V)}
+		}
+		r1, err = c.Batch(bp, timeout)
+	default:
+		r1, err = c.Paths(u, v, req.MaxPaths, timeout)
+	}
+	if err != nil || r1 == nil {
 		return echo{}, err
 	}
-	return echo{degraded: resp.Degraded, queueNS: resp.QueueNS, execNS: resp.ExecNS}, nil
+	return echo{degraded: r1.Degraded, queueNS: r1.QueueNS, execNS: r1.ExecNS}, nil
 }
 
 func printReport(w io.Writer, r report) {

@@ -1,5 +1,5 @@
 // Package hot is checked under repro/internal/fake: library code where
-// direct obs calls outside obs.go / *Observed functions are violations.
+// direct obs calls outside obs.go are violations.
 package hot
 
 import "repro/internal/obs"
@@ -27,27 +27,25 @@ func HotClosure() func() {
 	}
 }
 
-// warmObserved is the sanctioned instrumented twin: calls are fine, and
-// so are calls from closures declared inside it.
+// warmObserved: a name ending in Observed earns no exemption, and its
+// closures are checked like any other code.
 func warmObserved(h *Holder) {
-	sp := h.Tracer.Start("y")
-	defer func() { sp.End() }()
-	obs.NewRegistry()
+	sp := h.Tracer.Start("y")   // want `call to obs\.Start outside an obs\.go file`
+	defer func() { sp.End() }() // want `call to obs\.End outside an obs\.go file`
+	obs.NewRegistry()           // want `call to obs\.NewRegistry outside an obs\.go file`
 }
 
-// loudObserved shows the narrowed exemption: metric and span calls pass,
-// but the logging/flight-recorder surface does I/O and stays confined to
-// obs.go even inside an *Observed function.
+// loudObserved: the logging and flight-recorder surface reports through
+// the same rule as metrics and spans.
 func loudObserved(h *Holder) {
-	h.Tracer.Start("z")
-	h.Log.Info("served")                // want `call to obs\.Info: the logging/flight-recorder surface does I/O`
-	obs.NewLogger(nil, obs.LevelInfo)   // want `call to obs\.NewLogger: the logging/flight-recorder surface does I/O`
-	q := h.Rec.StartRequest("op", "r1") // want `call to obs\.StartRequest: the logging/flight-recorder surface does I/O`
-	q.StartSpan("phase")                // want `call to obs\.StartSpan: the logging/flight-recorder surface does I/O`
+	h.Tracer.Start("z")                 // want `call to obs\.Start outside an obs\.go file`
+	h.Log.Info("served")                // want `call to obs\.Info outside an obs\.go file`
+	obs.NewLogger(nil, obs.LevelInfo)   // want `call to obs\.NewLogger outside an obs\.go file`
+	q := h.Rec.StartRequest("op", "r1") // want `call to obs\.StartRequest outside an obs\.go file`
+	q.StartSpan("phase")                // want `call to obs\.StartSpan outside an obs\.go file`
 }
 
-// hotLog: outside *Observed functions the logging surface reports through
-// the general rule, like any other obs call.
+// hotLog: the logging surface outside obs.go is a violation.
 func hotLog(h *Holder) {
 	h.Log.Error("boom") // want `call to obs\.Error outside an obs\.go file`
 }

@@ -209,7 +209,7 @@ func New(g *hhc.Graph, opts Options) (*Cache, error) {
 // M returns the son-cube dimension of the bound topology.
 func (c *Cache) M() int { return c.g.M() }
 
-// Canon returns the configured canonicalization mode.
+// CanonMode returns the configured canonicalization mode.
 func (c *Cache) CanonMode() Canon { return c.canon }
 
 // Len returns the number of stored containers.

@@ -48,7 +48,7 @@ func startTestCluster(t *testing.T, n, m int) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := pathsvc.New(pathsvc.Config{M: m, Router: cl, Peer: addrs[i]})
+		srv, err := pathsvc.New(pathsvc.Config{M: m, Router: cl})
 		if err != nil {
 			t.Fatal(err)
 		}

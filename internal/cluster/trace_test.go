@@ -44,7 +44,6 @@ func startTracedCluster(t *testing.T, n, m int) (*testCluster, []*obs.Tracer) {
 		srv, err := pathsvc.New(pathsvc.Config{
 			M:        m,
 			Router:   cl,
-			Peer:     addrs[i],
 			Reg:      obs.NewRegistry(),
 			Requests: tracers[i],
 		})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hhc"
+	"repro/internal/obs"
 )
 
 // ConstructAllocBudget is the mean allocation count of one m=6 cross-cube
@@ -57,4 +58,43 @@ func TestConstructAllocBudget(t *testing.T) {
 		t.Errorf("m=6 construction allocates %.1f allocs/op, budget %d", got, ConstructAllocBudget)
 	}
 	t.Logf("m=6 construction: %.1f allocs/op (budget %d)", got, ConstructAllocBudget)
+}
+
+// TracedConstructAllocBudget is the same m=6 construction's count with an
+// observer and a tracer installed, as hhcd runs it. Measured: 42, and 42
+// or 43 under -race, whose sync.Pool drops fmt's cached printers at
+// random. Over ConstructAllocBudget: four spans (construct, derive,
+// select, realize), the construct span's attribute list, and the two
+// rendered endpoints (two each). Phases are values, not closures, so a
+// phase costs only its span.
+const TracedConstructAllocBudget = 43
+
+// TestTracedConstructAllocBudget pins the instrumented construction the
+// service runs: with phases opened as closures it made 46.
+func TestTracedConstructAllocBudget(t *testing.T) {
+	SetObserver(NewObserver(obs.NewRegistry(), obs.NewTracer(0)))
+	defer SetObserver(nil)
+	g := mustGraph(t, 6)
+	r := rand.New(rand.NewSource(6))
+	pairs := make([][2]hhc.Node, 64)
+	for i := range pairs {
+		u := hhc.Node{X: r.Uint64(), Y: uint8(r.Intn(g.T()))}
+		v := hhc.Node{X: r.Uint64(), Y: uint8(r.Intn(g.T()))}
+		if u.X == v.X {
+			v.X ^= 1
+		}
+		pairs[i] = [2]hhc.Node{u, v}
+	}
+	i := 0
+	got := testing.AllocsPerRun(len(pairs)*4, func() {
+		p := pairs[i%len(pairs)]
+		i++
+		if _, err := DisjointPaths(g, p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > TracedConstructAllocBudget {
+		t.Errorf("traced m=6 construction allocates %.1f allocs/op, budget %d", got, TracedConstructAllocBudget)
+	}
+	t.Logf("traced m=6 construction: %.1f allocs/op (budget %d)", got, TracedConstructAllocBudget)
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/hhc"
 )
@@ -68,14 +67,9 @@ func DisjointPathsBatchFunc(g *hhc.Graph, pairs []Pair, opt Options, workers int
 					return
 				}
 				p := pairs[i]
-				if b == nil {
-					paths, err := construct(g, p.U, p.V, opt)
-					results[i] = BatchResult{Pair: p, Paths: paths, Err: err}
-					continue
-				}
-				pickup := time.Now()
+				pickup := b.startItem()
 				paths, err := construct(g, p.U, p.V, opt)
-				b.item(pickup, time.Since(pickup))
+				b.endItem(pickup)
 				results[i] = BatchResult{Pair: p, Paths: paths, Err: err}
 			}
 		}()

@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/hhc"
 	"repro/internal/hypercube"
-	"repro/internal/obs"
 )
 
 // ErrSameNode is returned when asked to connect a node to itself.
@@ -159,19 +158,20 @@ func DisjointPathsOpt(g *hhc.Graph, u, v hhc.Node, opt Options) ([][]hhc.Node, e
 		return nil, ErrSameNode
 	}
 	o := observer.Load()
+	c := o.startConstruct(g, u, v)
+	var paths [][]hhc.Node
+	var err error
 	if u.X == v.X {
-		return sameCubePaths(g, u, v, o)
+		paths, err = sameCubePaths(g, u, v)
+	} else {
+		paths, err = crossCubePaths(g, u, v, opt, o)
 	}
-	return crossCubePaths(g, u, v, opt, o)
+	c.end(err)
+	return paths, err
 }
 
-// sameCubePaths handles u = (a, α), v = (a, β), α ≠ β. The observed
-// variant lives in its own function so the uninstrumented body stays small
-// (no defer, no cold instrumentation code diluting the hot layout).
-func sameCubePaths(g *hhc.Graph, u, v hhc.Node, o *Observer) ([][]hhc.Node, error) {
-	if o != nil {
-		return sameCubePathsObserved(g, u, v, o)
-	}
+// sameCubePaths handles u = (a, α), v = (a, β), α ≠ β.
+func sameCubePaths(g *hhc.Graph, u, v hhc.Node) ([][]hhc.Node, error) {
 	m := g.M()
 	inner, err := hypercube.DisjointPaths(m, uint64(u.Y), uint64(v.Y), m)
 	if err != nil {
@@ -183,20 +183,6 @@ func sameCubePaths(g *hhc.Graph, u, v hhc.Node, o *Observer) ([][]hhc.Node, erro
 	}
 	paths = append(paths, outsidePath(g, u, v))
 	return paths, nil
-}
-
-// sameCubePathsObserved wraps the plain construction in a span and the
-// same-cube latency histogram.
-func sameCubePathsObserved(g *hhc.Graph, u, v hhc.Node, o *Observer) ([][]hhc.Node, error) {
-	done := o.startPhase("construct", o.SameCube,
-		obs.String("kind", "same-cube"),
-		obs.String("u", g.FormatNode(u)), obs.String("v", g.FormatNode(v)))
-	defer done()
-	paths, err := sameCubePaths(g, u, v, nil)
-	if err != nil {
-		o.Errors.Inc()
-	}
-	return paths, err
 }
 
 // liftLocal embeds a Q_m vertex path into son-cube S_x.
@@ -227,55 +213,27 @@ func outsidePath(g *hhc.Graph, u, v hhc.Node) []hhc.Node {
 	return path
 }
 
-// crossCubePaths handles u = (a, α), v = (b, β) with a ≠ b. With no
-// observer installed this is exactly the original construction; the
-// per-phase instrumented variant is a separate function so the hot path
-// pays one branch and no extra code in its body.
+// crossCubePaths handles u = (a, α), v = (b, β) with a ≠ b, timing and
+// tracing each phase under o (nil: uninstrumented).
 func crossCubePaths(g *hhc.Graph, u, v hhc.Node, opt Options, o *Observer) ([][]hhc.Node, error) {
-	if o != nil {
-		return crossCubePathsObserved(g, u, v, opt, o)
-	}
-	m, t := g.M(), g.T()
-	d := u.X ^ v.X
-	order := cyclicOrder(d, uint64(u.Y), opt.Order)
-	pref := detourPreference(t, uint64(u.Y), uint64(v.Y), opt.Detour, opt.ConfineDetours)
-	seqs, err := selectSupers(t, m+1, d, order, int(u.Y), int(v.Y), pref)
-	if err != nil {
-		return nil, confineErr(opt, err)
-	}
-	return realize(g, u, v, seqs)
-}
-
-// crossCubePathsObserved is crossCubePaths with each phase timed into its
-// histogram and traced as a span.
-func crossCubePathsObserved(g *hhc.Graph, u, v hhc.Node, opt Options, o *Observer) ([][]hhc.Node, error) {
 	m, t := g.M(), g.T()
 	d := u.X ^ v.X
 
-	total := o.startPhase("construct", o.CrossCube,
-		obs.String("kind", "cross-cube"),
-		obs.String("u", g.FormatNode(u)), obs.String("v", g.FormatNode(v)))
-	defer total()
-
-	done := o.startPhase("derive", o.Derive)
+	ph := o.startPhase("derive")
 	order := cyclicOrder(d, uint64(u.Y), opt.Order)
 	pref := detourPreference(t, uint64(u.Y), uint64(v.Y), opt.Detour, opt.ConfineDetours)
-	done()
+	ph.end()
 
-	done = o.startPhase("select", o.Select)
+	ph = o.startPhase("select")
 	seqs, err := selectSupers(t, m+1, d, order, int(u.Y), int(v.Y), pref)
-	done()
+	ph.end()
 	if err != nil {
-		o.Errors.Inc()
 		return nil, confineErr(opt, err)
 	}
 
-	done = o.startPhase("realize", o.Realize)
+	ph = o.startPhase("realize")
 	paths, err := realize(g, u, v, seqs)
-	done()
-	if err != nil {
-		o.Errors.Inc()
-	}
+	ph.end()
 	return paths, err
 }
 

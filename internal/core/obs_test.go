@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/hhc"
@@ -58,14 +59,29 @@ func TestObserverInstrumentsConstruction(t *testing.T) {
 			t.Errorf("phase %q count = %d, want 1", name, h.Count())
 		}
 	}
-	// The tracer saw one construct span per call plus the cross-cube
-	// phase spans.
+	// The tracer saw one construct span per call, carrying its kind and
+	// endpoints, plus one span per cross-cube phase.
 	names := map[string]int{}
+	var constructs []map[string]string
 	for _, s := range spans() {
 		names[s.Name]++
+		if s.Name == "construct" {
+			attrs := map[string]string{}
+			for _, a := range s.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			constructs = append(constructs, attrs)
+		}
 	}
-	if names["construct"] != 2 || names["derive"] != 1 || names["realize"] != 1 {
+	if names["construct"] != 2 || names["derive"] != 1 || names["select"] != 1 || names["realize"] != 1 {
 		t.Errorf("span names = %v", names)
+	}
+	want := []map[string]string{
+		{"kind": "same-cube", "u": g.FormatNode(u), "v": g.FormatNode(same)},
+		{"kind": "cross-cube", "u": g.FormatNode(u), "v": g.FormatNode(cross)},
+	}
+	if fmt.Sprint(constructs) != fmt.Sprint(want) {
+		t.Errorf("construct span attrs = %v, want %v", constructs, want)
 	}
 }
 

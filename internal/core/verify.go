@@ -13,16 +13,7 @@ import (
 // length and is the definitional ground truth the construction is tested
 // against.
 func VerifyDisjoint(g *hhc.Graph, u, v hhc.Node, paths [][]hhc.Node) error {
-	if o := observer.Load(); o != nil {
-		done := o.startPhase("verify", o.Verify)
-		err := verifyDisjoint(g, u, v, paths)
-		done()
-		return err
-	}
-	return verifyDisjoint(g, u, v, paths)
-}
-
-func verifyDisjoint(g *hhc.Graph, u, v hhc.Node, paths [][]hhc.Node) error {
+	defer observer.Load().startPhase("verify").end()
 	seen := make(map[hhc.Node]int)
 	for pi, p := range paths {
 		if err := g.VerifyPath(u, v, p); err != nil {

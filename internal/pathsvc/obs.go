@@ -81,12 +81,10 @@ func newSvcMetrics(reg *obs.Registry, s *Server) *svcMetrics {
 			"Non-owned queries answered locally after a failed or shed forward.", s.counters.DegradedLocal.Load)
 		reg.CounterFunc("cluster_batch_local_total",
 			"Batches answered locally despite containing non-owned pairs (batch forwarding gap).", s.counters.BatchLocal.Load)
-	}
-	if s.cfg.Peer != "" {
 		// Peer-labeled aliases of the core ledger: same callbacks, one extra
 		// name each, so a multi-peer scrape can aggregate and slice by
 		// instance while single-node deployments keep the unlabeled series.
-		peer := `{peer="` + s.cfg.Peer + `"}`
+		peer := `{peer="` + s.cfg.Router.Self() + `"}`
 		reg.CounterFunc("pathsvc_requests_total"+peer,
 			"Requests decoded from the wire on this cluster peer.", s.counters.Requests.Load)
 		reg.CounterFunc("pathsvc_completed_total"+peer,

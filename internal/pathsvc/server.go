@@ -81,6 +81,10 @@ func ParseAdmission(s string) (Admission, error) {
 type Forwarder interface {
 	// Owns reports whether this process owns the canonicalized (u, v) key.
 	Owns(u, v hhc.Node) bool
+	// Self names this process in the cluster (its own address): the
+	// origin of the queries it forwards and the {peer="..."} label on its
+	// core counters.
+	Self() string
 	// Forward relays req to the owning peer and decodes its answer into
 	// resp, returning the owner's address so the requester's trace can
 	// attribute the hop. A non-nil error is either transport-level (the
@@ -137,10 +141,6 @@ type Config struct {
 	// relayed to the owner (at most once — see the wire's forwarded bit)
 	// and answered locally only when the owner is unreachable.
 	Router Forwarder
-	// Peer names this process in the cluster (its own address). When set,
-	// the core pathsvc_* counters are additionally exported with a
-	// {peer="..."} label so multi-peer scrapes can tell instances apart.
-	Peer string
 	// ForwardConcurrency bounds in-flight peer forwards
 	// (0 = DefaultForwardConcurrency). Beyond the bound the server answers
 	// locally instead of queueing forwards.
@@ -991,7 +991,7 @@ func (s *Server) runForward(t *task) {
 		rid = t.tr.id()
 	}
 	req := RequestV2{Op: opc, RID: rid, U: t.u, V: t.v,
-		Forwarded: true, Origin: s.cfg.Peer}
+		Forwarded: true, Origin: s.cfg.Router.Self()}
 	if len(t.faults) > 0 {
 		req.Faults = make([]hhc.Node, 0, len(t.faults))
 		for f := range t.faults {
