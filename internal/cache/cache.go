@@ -36,12 +36,22 @@
 // beyond its capacity. Identical in-flight constructions are deduplicated
 // (singleflight): the first requester constructs, later ones wait on the
 // same result. Every Paths caller — hit, miss, or coalesced waiter —
-// receives a freshly allocated copy of the paths, so it may mutate its
-// result freely. Lookup is the copy-free probe for callers that only read:
-// it returns the stored canonical container, shared and immutable, plus the
-// automorphism that maps it onto the requested pair, and it never waits on
-// an in-flight construction. Hit/miss/eviction/in-flight counters are
-// exposed through internal/stats.
+// receives freshly allocated paths, so it may mutate its result freely.
+// Lookup is the copy-free probe for callers that only read: it returns a
+// read-only view of the stored entry, which the caller replays from its
+// own source into storage it reuses, and it never waits on an in-flight
+// construction. Hit/miss/eviction/in-flight counters are exposed through
+// internal/stats.
+//
+// # Storage
+//
+// An entry is one pointer-free byte string: the container's move strings
+// (packed.go), one byte a step instead of a 16-byte node. Every path of a
+// container leaves the source, and the canonicalizing automorphisms keep
+// moves, so replaying the canonical container's moves from the requested
+// source gives exactly the container that mapping its nodes would. A
+// container that does not pack (a step between non-adjacent nodes) is an
+// error and is never stored.
 package cache
 
 import (
@@ -129,16 +139,16 @@ type key struct {
 	ux, vx  uint64
 }
 
-// entry is one cached container; paths is immutable once stored.
+// entry is one cached container; moves is immutable once stored.
 type entry struct {
 	k     key
-	paths [][]hhc.Node
+	moves Packed
 }
 
 // call is an in-flight construction other requesters can wait on.
 type call struct {
 	done  chan struct{}
-	paths [][]hhc.Node
+	moves Packed
 	err   error
 }
 
@@ -295,29 +305,28 @@ func (c *Cache) shardFor(k key) *shard {
 }
 
 // Lookup answers (u, v) from the memo alone. On a hit it refreshes the
-// entry's LRU position, counts one hit, and returns the stored canonical
-// container — shared with every other caller, so it must not be written —
-// with the automorphism that maps it onto the requested pair
-// (back.AppendPath per path). A miss returns ok=false at once: Lookup never
+// entry's LRU position, counts one hit, and returns a read-only view of the
+// stored container; p.AppendPaths(dst, u) replays it as the requested
+// pair's container. A miss returns ok=false at once: Lookup never
 // constructs, never joins an in-flight construction, and counts nothing, so
 // a caller that falls back to Paths still counts exactly one hit or miss.
-func (c *Cache) Lookup(u, v hhc.Node, opt core.Options) (canon [][]hhc.Node, back hhc.Automorphism, ok bool) {
+func (c *Cache) Lookup(u, v hhc.Node, opt core.Options) (p Packed, ok bool) {
 	if !c.g.Contains(u) || !c.g.Contains(v) || u == v {
-		return nil, back, false
+		return Packed{}, false
 	}
-	cu, cv, back, err := c.canonicalize(u, v, opt)
+	cu, cv, _, err := c.canonicalize(u, v, opt)
 	if err != nil {
-		return nil, back, false
+		return Packed{}, false
 	}
 	k := c.keyFor(cu, cv, opt)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	canon, ok = s.get(k)
+	p, ok = s.get(k)
 	s.mu.Unlock()
 	if ok {
 		c.counters.Hits.Inc()
 	}
-	return canon, back, ok
+	return p, ok
 }
 
 // Paths returns the (m+1)-wide container between u and v, serving from the
@@ -336,10 +345,10 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 	s := c.shardFor(k)
 
 	s.mu.Lock()
-	if paths, ok := s.get(k); ok {
+	if p, ok := s.get(k); ok {
 		s.mu.Unlock()
 		c.counters.Hits.Inc()
-		return mapPaths(back, paths), nil
+		return replay(p, u), nil
 	}
 	if cl, ok := s.inflight[k]; ok {
 		s.mu.Unlock()
@@ -348,19 +357,23 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 		if cl.err != nil {
 			return nil, cl.err
 		}
-		return mapPaths(back, cl.paths), nil
+		return replay(cl.moves, u), nil
 	}
 	cl := &call{done: make(chan struct{})}
 	s.inflight[k] = cl
 	s.mu.Unlock()
 	c.counters.Misses.Inc()
 
-	cl.paths, cl.err = core.DisjointPathsOpt(c.g, cu, cv, opt)
+	paths, err := core.DisjointPathsOpt(c.g, cu, cv, opt)
+	if err == nil {
+		cl.moves, err = pack(cu, paths)
+	}
+	cl.err = err
 
 	s.mu.Lock()
 	delete(s.inflight, k)
 	if cl.err == nil {
-		s.insert(k, cl.paths, c.perShard, &c.counters)
+		s.insert(k, cl.moves, c.perShard, &c.counters)
 	}
 	s.mu.Unlock()
 	close(cl.done)
@@ -368,35 +381,42 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 	if cl.err != nil {
 		return nil, cl.err
 	}
-	return mapPaths(back, cl.paths), nil
+	// The store keeps only the moves, so the fresh construction is this
+	// caller's to map onto the requested pair in place.
+	for _, path := range paths {
+		for i, w := range path {
+			path[i] = back.Apply(w)
+		}
+	}
+	return paths, nil
 }
 
 // get returns the stored container for k and marks it most recently used.
 // Caller holds the shard lock.
 //
 //hhc:holds mu
-func (s *shard) get(k key) ([][]hhc.Node, bool) {
+func (s *shard) get(k key) (Packed, bool) {
 	el, ok := s.entries[k]
 	if !ok {
-		return nil, false
+		return Packed{}, false
 	}
 	s.lru.MoveToFront(el)
-	return el.Value.(*entry).paths, true
+	return el.Value.(*entry).moves, true
 }
 
 // insert stores a container and evicts LRU entries beyond the per-shard
 // capacity (cap < 0 = unbounded). Caller holds the shard lock.
 //
 //hhc:holds mu
-func (s *shard) insert(k key, paths [][]hhc.Node, cap int, counters *stats.CacheCounters) {
+func (s *shard) insert(k key, moves Packed, cap int, counters *stats.CacheCounters) {
 	if el, ok := s.entries[k]; ok {
 		// A concurrent miss for the same key already stored it; keep the
 		// newer value (identical by determinism) and refresh recency.
-		el.Value.(*entry).paths = paths
+		el.Value.(*entry).moves = moves
 		s.lru.MoveToFront(el)
 		return
 	}
-	s.entries[k] = s.lru.PushFront(&entry{k: k, paths: paths})
+	s.entries[k] = s.lru.PushFront(&entry{k: k, moves: moves})
 	for cap >= 0 && s.lru.Len() > cap {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
@@ -405,14 +425,10 @@ func (s *shard) insert(k key, paths [][]hhc.Node, cap int, counters *stats.Cache
 	}
 }
 
-// mapPaths maps a stored container through the automorphism into fresh
-// slices — the stored value is never aliased by returned results.
-func mapPaths(back hhc.Automorphism, paths [][]hhc.Node) [][]hhc.Node {
-	out := make([][]hhc.Node, len(paths))
-	for i, p := range paths {
-		out[i] = back.ApplyPath(p)
-	}
-	return out
+// replay expands a stored container from source u into fresh slices the
+// caller owns.
+func replay(p Packed, u hhc.Node) [][]hhc.Node {
+	return p.AppendPaths(make([][]hhc.Node, 0, p.numPaths()), u)
 }
 
 // Constructor adapts the cache to the core.Constructor signature, so it

@@ -11,12 +11,8 @@ import (
 )
 
 // mapped applies a Lookup result the way a read-only caller does.
-func mapped(canon [][]hhc.Node, back hhc.Automorphism) [][]hhc.Node {
-	out := make([][]hhc.Node, len(canon))
-	for i, p := range canon {
-		out[i] = back.AppendPath(nil, p)
-	}
-	return out
+func mapped(hit Packed, u hhc.Node) [][]hhc.Node {
+	return hit.AppendPaths(nil, u)
 }
 
 // TestLookupMatchesPaths: under every canonicalization mode, a warmed
@@ -36,11 +32,11 @@ func TestLookupMatchesPaths(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					canon, back, ok := c.Lookup(q.U, q.V, core.Options{})
+					hit, ok := c.Lookup(q.U, q.V, core.Options{})
 					if !ok {
 						t.Fatalf("%s -> %s: miss right after Paths", g.FormatNode(q.U), g.FormatNode(q.V))
 					}
-					got := mapped(canon, back)
+					got := mapped(hit, q.U)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s -> %s: mapped Lookup differs from Paths", g.FormatNode(q.U), g.FormatNode(q.V))
 					}
@@ -60,7 +56,7 @@ func TestLookupCountsOneHit(t *testing.T) {
 	g := mustGraph(t, 3)
 	c := mustCache(t, g, Options{})
 	u, v := hhc.Node{X: 0x21, Y: 1}, hhc.Node{X: 0xc4, Y: 6}
-	if _, _, ok := c.Lookup(u, v, core.Options{}); ok {
+	if _, ok := c.Lookup(u, v, core.Options{}); ok {
 		t.Fatal("cold Lookup hit")
 	}
 	if snap := c.Snapshot(); snap.Lookups() != 0 {
@@ -69,14 +65,14 @@ func TestLookupCountsOneHit(t *testing.T) {
 	if _, err := c.Paths(u, v, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Lookup(u, v, core.Options{}); !ok {
+	if _, ok := c.Lookup(u, v, core.Options{}); !ok {
 		t.Fatal("warm Lookup missed")
 	}
 	if snap := c.Snapshot(); snap.Hits != 1 || snap.Misses != 1 || snap.InflightWaits != 0 {
 		t.Fatalf("after Paths+Lookup: %v, want hits=1 misses=1", snap)
 	}
 	for _, bad := range [][2]hhc.Node{{u, u}, {hhc.Node{X: 1 << 20}, v}} {
-		if _, _, ok := c.Lookup(bad[0], bad[1], core.Options{}); ok {
+		if _, ok := c.Lookup(bad[0], bad[1], core.Options{}); ok {
 			t.Fatalf("invalid pair %v hit", bad)
 		}
 	}
@@ -105,7 +101,7 @@ func TestLookupSkipsInflight(t *testing.T) {
 
 	looked := make(chan bool, 1)
 	go func() {
-		_, _, ok := c.Lookup(u, v, core.Options{})
+		_, ok := c.Lookup(u, v, core.Options{})
 		looked <- ok
 	}()
 	select {
@@ -129,16 +125,20 @@ func TestLookupSkipsInflight(t *testing.T) {
 	for c.Snapshot().InflightWaits == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	building.paths, building.err = core.DisjointPathsOpt(g, cu, cv, core.Options{})
+	paths, err := core.DisjointPathsOpt(g, cu, cv, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	building.moves, building.err = pack(cu, paths)
 	s.mu.Lock()
 	delete(s.inflight, k)
-	s.insert(k, building.paths, c.perShard, &c.counters)
+	s.insert(k, building.moves, c.perShard, &c.counters)
 	s.mu.Unlock()
 	close(building.done)
 	if err := <-joined; err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Lookup(u, v, core.Options{}); !ok {
+	if _, ok := c.Lookup(u, v, core.Options{}); !ok {
 		t.Fatal("Lookup missed after the construction was stored")
 	}
 }

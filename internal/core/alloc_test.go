@@ -61,13 +61,13 @@ func TestConstructAllocBudget(t *testing.T) {
 }
 
 // TracedConstructAllocBudget is the same m=6 construction's count with an
-// observer and a tracer installed, as hhcd runs it. Measured: 42, and 42
-// or 43 under -race, whose sync.Pool drops fmt's cached printers at
-// random. Over ConstructAllocBudget: four spans (construct, derive,
-// select, realize), the construct span's attribute list, and the two
-// rendered endpoints (two each). Phases are values, not closures, so a
-// phase costs only its span.
-const TracedConstructAllocBudget = 43
+// observer and a tracer installed, as hhcd runs it. Measured: exactly 40,
+// with and without -race, since endpoints are rendered by strconv and no
+// longer through fmt's pooled printers. Over ConstructAllocBudget: four
+// spans (construct, derive, select, realize), the construct span's
+// attribute list, and the two rendered endpoints (one each). Phases are
+// values, not closures, so a phase costs only its span.
+const TracedConstructAllocBudget = 40
 
 // TestTracedConstructAllocBudget pins the instrumented construction the
 // service runs: with phases opened as closures it made 46.

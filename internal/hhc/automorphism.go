@@ -52,16 +52,11 @@ func (f Automorphism) Inverse() Automorphism {
 // ApplyPath maps every node of a path through the automorphism into a fresh
 // slice; the input is not modified.
 func (f Automorphism) ApplyPath(path []Node) []Node {
-	return f.AppendPath(make([]Node, 0, len(path)), path)
-}
-
-// AppendPath appends the image of every node of path to dst and returns
-// the extended slice, so a caller can map into reused storage.
-func (f Automorphism) AppendPath(dst, path []Node) []Node {
-	for _, u := range path {
-		dst = append(dst, f.Apply(u))
+	out := make([]Node, len(path))
+	for i, u := range path {
+		out[i] = f.Apply(u)
 	}
-	return dst
+	return out
 }
 
 // shuffleBits permutes the t bit positions of x by i -> i XOR b.

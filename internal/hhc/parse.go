@@ -75,9 +75,19 @@ func ParseNodeWire(s string) (Node, error) {
 
 // FormatNodeWire renders a node in the wire "x:y" form without needing a
 // topology in scope (Graph.FormatNode is the method form used where one
-// is).
+// is). It costs one allocation, the returned string.
 func FormatNodeWire(u Node) string {
-	return fmt.Sprintf("%#x:%d", u.X, u.Y)
+	var buf [len("0x:") + 16 + 3]byte
+	return string(AppendNodeWire(buf[:0], u))
+}
+
+// AppendNodeWire appends the wire "x:y" form of u to dst — the output of
+// fmt's "%#x:%d" — and returns the extended slice.
+func AppendNodeWire(dst []byte, u Node) []byte {
+	dst = append(dst, "0x"...)
+	dst = strconv.AppendUint(dst, u.X, 16)
+	dst = append(dst, ':')
+	return strconv.AppendUint(dst, uint64(u.Y), 10)
 }
 
 // rangeError is the single out-of-range diagnostic for every coordinate

@@ -1,6 +1,8 @@
 package hhc
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -123,5 +125,32 @@ func TestFormatParseRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// wireSink keeps FormatNodeWire's result alive so its allocation counts.
+var wireSink string
+
+// TestFormatNodeWireMatchesFmt: the strconv renderer writes exactly what
+// fmt's "%#x:%d" writes, at the X extremes and a random X, for every
+// processor address of every supported topology, and FormatNodeWire costs
+// one allocation.
+func TestFormatNodeWireMatchesFmt(t *testing.T) {
+	xs := []uint64{0, 1, ^uint64(0), rand.New(rand.NewSource(1)).Uint64()}
+	for _, x := range xs {
+		for y := 0; y < 1<<MaxM; y++ {
+			u := Node{X: x, Y: uint8(y)}
+			want := fmt.Sprintf("%#x:%d", u.X, u.Y)
+			if got := FormatNodeWire(u); got != want {
+				t.Errorf("FormatNodeWire(%v) = %q, want %q", u, got, want)
+			}
+			if got := string(AppendNodeWire([]byte("pre "), u)); got != "pre "+want {
+				t.Errorf("AppendNodeWire(%v) = %q, want %q", u, got, "pre "+want)
+			}
+		}
+	}
+	u := Node{X: ^uint64(0), Y: 63}
+	if got := testing.AllocsPerRun(100, func() { wireSink = FormatNodeWire(u) }); got != 1 {
+		t.Errorf("FormatNodeWire allocates %.1f times, want 1", got)
 	}
 }

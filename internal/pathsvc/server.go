@@ -309,8 +309,8 @@ type serverConn struct {
 	// buffered behind the one being served, so the answers the reader gives
 	// itself can wait in wbuf and leave with the batch's one write.
 	hold bool
-	// hits is the reader's reused scratch for mapping a cache hit's
-	// canonical container onto the requested pair.
+	// hits is the reader's reused scratch for replaying a cache hit from
+	// the requested source.
 	hits [][]hhc.Node
 	wmu  sync.Mutex
 	wbuf []byte // guarded by wmu; frames the reader holds for one write
@@ -359,17 +359,11 @@ func (pc *serverConn) flush() {
 	}
 }
 
-// mapHit maps a cache hit's canonical container through back into the
-// reader's reused scratch: steady state allocates nothing, and the result
-// is valid until the reader serves its next hit.
-func (pc *serverConn) mapHit(back hhc.Automorphism, canon [][]hhc.Node) [][]hhc.Node {
-	if cap(pc.hits) < len(canon) {
-		pc.hits = make([][]hhc.Node, len(canon))
-	}
-	pc.hits = pc.hits[:len(canon)]
-	for i, path := range canon {
-		pc.hits[i] = back.AppendPath(pc.hits[i][:0], path)
-	}
+// replayHit replays a cache hit from source u into the reader's reused
+// scratch: steady state allocates nothing, and the result is valid until
+// the reader serves its next hit.
+func (pc *serverConn) replayHit(hit cache.Packed, u hhc.Node) [][]hhc.Node {
+	pc.hits = hit.AppendPaths(pc.hits[:0], u)
 	return pc.hits
 }
 
@@ -886,8 +880,8 @@ func (s *Server) admit(t *task) {
 
 // answerHit answers a path query from the cache on the reader goroutine,
 // reporting false (having done nothing) on a miss. A hit takes no queue
-// slot and no worker, and the cache makes no copy: the canonical container
-// is mapped into the reader's scratch, which respond encodes before the
+// slot and no worker, and the cache makes no copy: the stored moves are
+// replayed into the reader's scratch, which respond encodes before the
 // reader serves another frame. Everything else matches
 // a queued answer: it is admitted (first, so Admitted >= Completed holds at
 // every scrape) with a zero queue wait, it records an exec sample, its
@@ -895,7 +889,7 @@ func (s *Server) admit(t *task) {
 // deadline, max_paths, terminal bucket and span tree.
 func (s *Server) answerHit(t *task) bool {
 	execStart := time.Now()
-	canon, back, ok := s.cache.Lookup(t.u, t.v, core.Options{})
+	hit, ok := s.cache.Lookup(t.u, t.v, core.Options{})
 	if !ok {
 		return false
 	}
@@ -903,7 +897,7 @@ func (s *Server) answerHit(t *task) bool {
 	s.met.observeQueueWait(0)
 	t.tr.phase(obs.PhaseExec)
 	t.degraded = len(s.queue) >= s.shedHigh
-	out := outcome{paths: t.pc.mapHit(back, canon), execNS: int64(time.Since(execStart))}
+	out := outcome{paths: t.pc.replayHit(hit, t.u), execNS: int64(time.Since(execStart))}
 	s.met.observeExec(time.Duration(out.execNS), t.rid)
 	s.respond(t.pendingReq, out, t.pc.hold)
 	return true
