@@ -69,7 +69,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzDimOrderTermination -fuzztime=15s ./internal/hhc
 	$(GO) test -fuzz=FuzzParseNode -fuzztime=10s ./internal/hhc
 	$(GO) test -fuzz=FuzzEmbedRing -fuzztime=15s ./internal/hhc
-	$(GO) test -fuzz=FuzzParseTrace -fuzztime=10s ./internal/sched
 	$(GO) test -fuzz='FuzzWireDecode$$' -fuzztime=10s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzWireDecodeV2$$' -fuzztime=10s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzPackReplay$$' -fuzztime=10s ./internal/cache
@@ -83,7 +82,6 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzDimOrderTermination$$' -fuzztime=20s ./internal/hhc
 	$(GO) test -fuzz='FuzzParseNode$$' -fuzztime=20s ./internal/hhc
 	$(GO) test -fuzz='FuzzEmbedRing$$' -fuzztime=20s ./internal/hhc
-	$(GO) test -fuzz='FuzzParseTrace$$' -fuzztime=20s ./internal/sched
 	$(GO) test -fuzz='FuzzWireDecode$$' -fuzztime=20s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzWireDecodeV2$$' -fuzztime=20s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzPackReplay$$' -fuzztime=20s ./internal/cache

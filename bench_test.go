@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/dessim"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/hhc"
 	"repro/internal/hypercube"
 	"repro/internal/netsim"
-	"repro/internal/sched"
 )
 
 // ---------------------------------------------------------------------------
@@ -64,8 +62,6 @@ func BenchmarkE14Permutation(b *testing.B)  { benchExperiment(b, "E14") }
 func BenchmarkE15CrossNetwork(b *testing.B) { benchExperiment(b, "E15") }
 func BenchmarkE16Patterns(b *testing.B)     { benchExperiment(b, "E16") }
 func BenchmarkE17Deadlock(b *testing.B)     { benchExperiment(b, "E17") }
-func BenchmarkE18Allocation(b *testing.B)   { benchExperiment(b, "E18") }
-func BenchmarkE19Scheduling(b *testing.B)   { benchExperiment(b, "E19") }
 func BenchmarkE20Adaptive(b *testing.B)     { benchExperiment(b, "E20") }
 func BenchmarkE21Containers(b *testing.B)   { benchExperiment(b, "E21") }
 func BenchmarkE22Saturation(b *testing.B)   { benchExperiment(b, "E22") }
@@ -350,53 +346,6 @@ func BenchmarkDimOrderRoute(b *testing.B) {
 		if _, err := g.RouteDimOrder(p.U, p.V); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAllocator measures buddy alloc/free churn.
-func BenchmarkAllocator(b *testing.B) {
-	a, err := alloc.New(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	var bases []uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(bases) > 64 || (len(bases) > 0 && r.Intn(2) == 0) {
-			k := r.Intn(len(bases))
-			if err := a.Free(bases[k]); err != nil {
-				b.Fatal(err)
-			}
-			bases[k] = bases[len(bases)-1]
-			bases = bases[:len(bases)-1]
-			continue
-		}
-		base, err := a.Alloc(r.Intn(6))
-		if err == nil {
-			bases = append(bases, base)
-		}
-	}
-}
-
-// BenchmarkScheduler measures a 200-job trace under both policies.
-func BenchmarkScheduler(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	jobs := make([]sched.Job, 200)
-	at := int64(0)
-	for i := range jobs {
-		at += int64(r.Intn(8))
-		jobs[i] = sched.Job{ID: i + 1, Arrival: at, Order: r.Intn(5), Duration: int64(1 + r.Intn(60))}
-	}
-	for _, p := range []sched.Policy{sched.FCFS, sched.Backfill} {
-		p := p
-		b.Run(p.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sched.Run(8, jobs, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -14,9 +14,10 @@
 //	internal/flow       — max-flow / min-cost-flow baseline (Menger)
 //	internal/graph      — implicit-graph BFS/diameter ground truth
 //	internal/netsim     — discrete-event store-and-forward simulator
-//	internal/exp        — the evaluation harness (tables/figures E1..E22)
+//	internal/exp        — the evaluation harness (tables/figures E1..E17,
+//	                      E20..E22)
 //	cmd/…               — hhcinfo, hhcpaths, hhcbench, hhcsim, hhcbcast,
-//	                      hhcviz, hhcsched
+//	                      hhcviz
 //	examples/…          — runnable demonstrations of the public API
 //
 // See README.md for a tour, DESIGN.md for the system inventory and the

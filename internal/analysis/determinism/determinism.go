@@ -22,7 +22,6 @@ import (
 var guarded = map[string]bool{
 	"netsim": true,
 	"dessim": true,
-	"sched":  true,
 	"gen":    true,
 }
 

@@ -6,10 +6,10 @@
 //
 // # Keying and canonicalization
 //
-// Entries are keyed by (m, order strategy, detour strategy, confine mask,
-// canonical pair). Before lookup every request pair (u, v) is mapped
-// through a network automorphism (internal/hhc/automorphism.go) onto a
-// canonical representative, so symmetric pairs share one entry:
+// Entries are keyed by (m, order strategy, detour strategy, canonical
+// pair). Before lookup every request pair (u, v) is mapped through a
+// network automorphism (internal/hhc/automorphism.go) onto a canonical
+// representative, so symmetric pairs share one entry:
 //
 //   - CanonExact (default) translates by u.X, canonicalizing (u, v) to
 //     ((0, u.Y), (u.X⊕v.X, v.Y)). All 2^t X-translates of a pair collapse
@@ -24,10 +24,6 @@
 //     detour strategies rank dimensions by absolute index, it need not be
 //     the byte-for-byte output of the direct construction.
 //   - CanonOff disables canonicalization (for measuring its benefit).
-//
-// A non-zero Options.ConfineDetours mask names absolute super-dimensions,
-// which X-translation preserves but the position shuffle does not, so
-// CanonFull silently degrades to CanonExact for confined requests.
 //
 // # Concurrency
 //
@@ -131,12 +127,11 @@ const (
 // is folded into cx (CanonExact and CanonFull both translate it to 0;
 // CanonOff keeps u.X).
 type key struct {
-	order   core.OrderStrategy
-	detour  core.DetourStrategy
-	confine uint64
-	m       uint8
-	uy, vy  uint8
-	ux, vx  uint64
+	order  core.OrderStrategy
+	detour core.DetourStrategy
+	m      uint8
+	uy, vy uint8
+	ux, vx uint64
 }
 
 // entry is one cached container; moves is immutable once stored.
@@ -240,14 +235,10 @@ func (c *Cache) Snapshot() stats.CacheSnapshot {
 
 // canonicalize maps (u, v) to the canonical pair under the configured mode
 // and returns the automorphism carrying the canonical container back onto
-// the requested one. Confined requests degrade CanonFull to CanonExact
-// because the detour mask names absolute dimensions.
-func (c *Cache) canonicalize(u, v hhc.Node, opt core.Options) (cu, cv hhc.Node, back hhc.Automorphism, err error) {
-	mode := c.canon
-	if mode == CanonFull && opt.ConfineDetours != 0 {
-		mode = CanonExact
-	}
-	switch mode {
+// the requested one. The mapping does not depend on the options; they
+// select the entry through keyFor.
+func (c *Cache) canonicalize(u, v hhc.Node, _ core.Options) (cu, cv hhc.Node, back hhc.Automorphism, err error) {
+	switch c.canon {
 	case CanonOff:
 		back, err = c.g.NewAutomorphism(0, 0) // identity
 		return u, v, back, err
@@ -271,14 +262,13 @@ func (c *Cache) canonicalize(u, v hhc.Node, opt core.Options) (cu, cv hhc.Node, 
 // keyFor builds the shard key for a canonical pair.
 func (c *Cache) keyFor(cu, cv hhc.Node, opt core.Options) key {
 	return key{
-		order:   opt.Order,
-		detour:  opt.Detour,
-		confine: opt.ConfineDetours,
-		m:       uint8(c.g.M()),
-		uy:      cu.Y,
-		vy:      cv.Y,
-		ux:      cu.X,
-		vx:      cv.X,
+		order:  opt.Order,
+		detour: opt.Detour,
+		m:      uint8(c.g.M()),
+		uy:     cu.Y,
+		vy:     cv.Y,
+		ux:     cu.X,
+		vx:     cv.X,
 	}
 }
 
@@ -298,7 +288,6 @@ func (c *Cache) shardFor(k key) *shard {
 	}
 	mix(k.ux)
 	mix(k.vx)
-	mix(k.confine)
 	mix(uint64(k.uy) | uint64(k.vy)<<8 | uint64(k.m)<<16 |
 		uint64(k.order)<<24 | uint64(k.detour)<<32)
 	return c.shards[h&c.mask]

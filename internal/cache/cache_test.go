@@ -214,48 +214,6 @@ func TestStrategyKeysSeparate(t *testing.T) {
 	}
 }
 
-// TestConfinedRequests: a non-zero detour mask is part of the key, still
-// cached, and CanonFull degrades to the exact translation for it.
-func TestConfinedRequests(t *testing.T) {
-	g := mustGraph(t, 3)
-	for _, mode := range []Canon{CanonExact, CanonFull} {
-		c := mustCache(t, g, Options{Canon: mode})
-		u, v := hhc.Node{X: 0x03, Y: 1}, hhc.Node{X: 0x0c, Y: 2}
-		opt := core.Options{ConfineDetours: 0xff}
-		want, err := core.DisjointPathsOpt(g, u, v, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, err := c.Paths(u, v, opt)
-			if err != nil {
-				t.Fatalf("canon=%v pass %d: %v", mode, pass, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("canon=%v pass %d: confined container differs", mode, pass)
-			}
-		}
-		// Unconfined request for the same pair is a distinct entry.
-		if _, err := c.Paths(u, v, core.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if c.Len() != 2 {
-			t.Fatalf("canon=%v: %d entries, want 2", mode, c.Len())
-		}
-		// A mask that kills full width errors and is not cached: d has a
-		// single differing dimension, so three detour dimensions are
-		// needed, but the mask admits only one candidate outside d.
-		tu, tv := hhc.Node{X: 0x00, Y: 1}, hhc.Node{X: 0x01, Y: 2}
-		tight := core.Options{ConfineDetours: 0x3}
-		if _, err := c.Paths(tu, tv, tight); !errors.Is(err, core.ErrCannotConfine) {
-			t.Fatalf("canon=%v: want ErrCannotConfine, got %v", mode, err)
-		}
-		if c.Len() != 2 {
-			t.Fatalf("canon=%v: error result was cached", mode)
-		}
-	}
-}
-
 // TestLRUEviction: capacity is enforced per shard with LRU order, and the
 // eviction counter advances.
 func TestLRUEviction(t *testing.T) {

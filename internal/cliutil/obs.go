@@ -99,6 +99,9 @@ func (o *Obs) Enabled() bool {
 
 // Activate builds the registry and tracer and instruments the container
 // construction layer process-wide. A no-op when nothing was requested.
+// Construction spans are built only for a -trace stream: the flight
+// recorder keeps request trees, so without a stream nothing would read
+// them.
 func (o *Obs) Activate() error {
 	if !o.Enabled() {
 		return nil
@@ -119,7 +122,11 @@ func (o *Obs) Activate() error {
 	}
 	obs.RegisterRuntime(o.Registry)
 	obs.RegisterSelf(o.Registry, o.Tracer, false)
-	core.SetObserver(core.NewObserver(o.Registry, o.Tracer))
+	var constructTracer *obs.Tracer
+	if o.TracePath != "" {
+		constructTracer = o.Tracer
+	}
+	core.SetObserver(core.NewObserver(o.Registry, constructTracer))
 	return nil
 }
 

@@ -82,6 +82,38 @@ func TestObsMetricsAndTraceFiles(t *testing.T) {
 	}
 }
 
+// TestObsNoConstructSpansWithoutTrace: with only -listen or -metrics the
+// core observer gets no tracer, so a construction builds no spans.
+func TestObsNoConstructSpansWithoutTrace(t *testing.T) {
+	g, err := hhc.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-listen", "127.0.0.1:0"}, {"-metrics", "-"}} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		o := RegisterObsFlags(fs)
+		o.RegisterListenFlag(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Activate(); err != nil {
+			t.Fatal(err)
+		}
+		if co := core.CurrentObserver(); co == nil || co.Tracer != nil {
+			t.Errorf("%v: want a core observer without a tracer", args)
+		}
+		if _, err := core.DisjointPaths(g, hhc.Node{X: 0, Y: 0}, hhc.Node{X: 0xff, Y: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if n := o.Tracer.SpansTotal(); n != 0 {
+			t.Errorf("%v: construction completed %d spans, want 0", args, n)
+		}
+		if err := o.Close(&bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestObsMetricsStdout(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	o := RegisterObsFlags(fs)

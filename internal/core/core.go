@@ -113,18 +113,7 @@ type Options struct {
 	// Detour picks the detour-dimension preference. Zero value =
 	// DetourAscending.
 	Detour DetourStrategy
-	// ConfineDetours, when non-zero, restricts the freely-chosen detour
-	// dimensions to the given bit mask (the dimensions of a partition, say,
-	// so the container borrows as little as possible from outside it). The
-	// mandatory external-port crossings dec(α)/dec(β) are exempt — node
-	// ports are physical. ErrCannotConfine is returned when the mask leaves
-	// too few candidates for full width.
-	ConfineDetours uint64
 }
-
-// ErrCannotConfine is returned when ConfineDetours leaves fewer than m+1
-// candidate super-paths.
-var ErrCannotConfine = errors.New("core: detour mask leaves too few disjoint super-paths")
 
 // DisjointPaths constructs m+1 pairwise node-disjoint paths between u and v
 // with default options. The first path is not guaranteed shortest; the
@@ -221,14 +210,14 @@ func crossCubePaths(g *hhc.Graph, u, v hhc.Node, opt Options, o *Observer) ([][]
 
 	ph := o.startPhase("derive")
 	order := cyclicOrder(d, uint64(u.Y), opt.Order)
-	pref := detourPreference(t, uint64(u.Y), uint64(v.Y), opt.Detour, opt.ConfineDetours)
+	pref := detourPreference(t, uint64(u.Y), uint64(v.Y), opt.Detour)
 	ph.end()
 
 	ph = o.startPhase("select")
 	seqs, err := selectSupers(t, m+1, d, order, int(u.Y), int(v.Y), pref)
 	ph.end()
 	if err != nil {
-		return nil, confineErr(opt, err)
+		return nil, err
 	}
 
 	ph = o.startPhase("realize")
@@ -237,24 +226,12 @@ func crossCubePaths(g *hhc.Graph, u, v hhc.Node, opt Options, o *Observer) ([][]
 	return paths, err
 }
 
-// confineErr tags selection failures of confined requests with
-// ErrCannotConfine so callers can distinguish "mask too tight" from bugs.
-func confineErr(opt Options, err error) error {
-	if opt.ConfineDetours != 0 {
-		return fmt.Errorf("%w: %w", ErrCannotConfine, err)
-	}
-	return err
-}
-
 // detourPreference orders the candidate detour dimensions by the strategy;
-// selectSupers tries outside-D detours in this order. A non-zero mask
-// restricts the candidates.
-func detourPreference(t int, alpha, beta uint64, strategy DetourStrategy, mask uint64) []int {
-	pref := make([]int, 0, t)
-	for i := 0; i < t; i++ {
-		if mask == 0 || mask&(1<<uint(i)) != 0 {
-			pref = append(pref, i)
-		}
+// selectSupers tries outside-D detours in this order.
+func detourPreference(t int, alpha, beta uint64, strategy DetourStrategy) []int {
+	pref := make([]int, t)
+	for i := range pref {
+		pref[i] = i
 	}
 	if strategy == DetourNearest {
 		sort.SliceStable(pref, func(i, j int) bool {

@@ -28,8 +28,8 @@ type Observer struct {
 	SameCube  *obs.Histogram
 	CrossCube *obs.Histogram
 	// Derive, Select, Realize time the cross-cube phases: base-sequence
-	// derivation (cyclic order + detour preference), super-path selection
-	// under the confinement mask, and lifting into concrete paths.
+	// derivation (cyclic order + detour preference), super-path
+	// selection, and lifting into concrete paths.
 	Derive  *obs.Histogram
 	Select  *obs.Histogram
 	Realize *obs.Histogram

@@ -163,7 +163,7 @@ func TestCyclicOrderStrategies(t *testing.T) {
 // 0..t-1, and DetourNearest ranks endpoint-close labels first.
 func TestDetourPreferencePermutation(t *testing.T) {
 	for _, s := range []DetourStrategy{DetourAscending, DetourNearest} {
-		pref := detourPreference(16, 5, 9, s, 0)
+		pref := detourPreference(16, 5, 9, s)
 		if len(pref) != 16 {
 			t.Fatalf("%v: %d entries", s, len(pref))
 		}
@@ -175,7 +175,7 @@ func TestDetourPreferencePermutation(t *testing.T) {
 			seen[d] = true
 		}
 	}
-	pref := detourPreference(16, 5, 5, DetourNearest, 0)
+	pref := detourPreference(16, 5, 5, DetourNearest)
 	if pref[0] != 5 {
 		t.Fatalf("nearest preference should rank the endpoint label first, got %v", pref[:4])
 	}

@@ -50,8 +50,6 @@ func All() []Entry {
 		{ID: "E15", Title: "Figure 5: cross-network DES latency at equal node counts", Run: E15CrossNetworkDES},
 		{ID: "E16", Title: "Table 10: traffic patterns × routing policies", Run: E16Patterns},
 		{ID: "E17", Title: "Table 11: wormhole deadlock analysis (channel dependency graphs)", Run: E17Deadlock},
-		{ID: "E18", Title: "Table 12: buddy subcube allocation under job streams", Run: E18Allocation},
-		{ID: "E19", Title: "Table 13: space-sharing scheduling, FCFS vs EASY backfill", Run: E19Scheduling},
 		{ID: "E20", Title: "Table 14: fault routing with global vs local knowledge", Run: E20Adaptive},
 		{ID: "E21", Title: "Table 15: container quality across equal-sized networks", Run: E21CrossContainers},
 		{ID: "E22", Title: "Figure 6: saturation-throughput search per routing policy", Run: E22Saturation},

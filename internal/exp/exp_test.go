@@ -119,32 +119,6 @@ func TestE6GuaranteeColumn(t *testing.T) {
 	}
 }
 
-// TestE19BackfillNeverWorse: on every row pair, backfill's mean wait must
-// not exceed FCFS's for the same trace.
-func TestE19BackfillNeverWorse(t *testing.T) {
-	tables, err := E19Scheduling(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows()
-	if len(rows)%2 != 0 {
-		t.Fatalf("odd row count %d", len(rows))
-	}
-	for i := 0; i < len(rows); i += 2 {
-		fcfs, err1 := strconv.ParseFloat(rows[i][3], 64)
-		bf, err2 := strconv.ParseFloat(rows[i+1][3], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("unparseable waits %q %q", rows[i][3], rows[i+1][3])
-		}
-		if rows[i][2] != "fcfs" || rows[i+1][2] != "backfill" {
-			t.Fatalf("row order unexpected: %v", rows[i])
-		}
-		if bf > fcfs {
-			t.Fatalf("backfill wait %.2f > fcfs %.2f", bf, fcfs)
-		}
-	}
-}
-
 // TestE20GuaranteeColumn: the container policy must report 100 % for every
 // f <= m row.
 func TestE20GuaranteeColumn(t *testing.T) {
