@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEmbedRing -fuzztime=15s ./internal/hhc
 	$(GO) test -fuzz='FuzzWireDecode$$' -fuzztime=10s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzWireDecodeV2$$' -fuzztime=10s ./internal/pathsvc
+	$(GO) test -fuzz='FuzzEncodeV1MatchesJSON$$' -fuzztime=10s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzPackReplay$$' -fuzztime=10s ./internal/cache
 
 # CI-sized fuzzing: 20s per target over the committed seed corpora in
@@ -84,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzEmbedRing$$' -fuzztime=20s ./internal/hhc
 	$(GO) test -fuzz='FuzzWireDecode$$' -fuzztime=20s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzWireDecodeV2$$' -fuzztime=20s ./internal/pathsvc
+	$(GO) test -fuzz='FuzzEncodeV1MatchesJSON$$' -fuzztime=20s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzPackReplay$$' -fuzztime=20s ./internal/cache
 
 # The 4.2M-pair full verification of the container theorem on HHC_11 (~90s).

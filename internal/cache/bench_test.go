@@ -114,8 +114,9 @@ func BenchmarkBatchCached(b *testing.B) {
 
 // TestWarmSpeedupAtLeast5x is the acceptance gate: on a warm repeated-pair
 // workload the cache must be at least 5x faster than direct construction.
-// Measured margins are ~20-50x, so the 5x bar holds comfortably even on
-// noisy CI machines; three attempts absorb scheduler hiccups.
+// Measured margins are ~6-11x (a copying m=4 hit against a direct m=4
+// construction), so the 5x bar has little room on noisy CI machines;
+// three attempts absorb scheduler hiccups.
 func TestWarmSpeedupAtLeast5x(t *testing.T) {
 	g, err := hhc.New(4)
 	if err != nil {

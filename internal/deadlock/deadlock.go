@@ -12,6 +12,7 @@ package deadlock
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/hhc"
 )
@@ -99,11 +100,14 @@ func findCycle(n int, adj map[int]map[int]bool) []int {
 			v    int
 			next []int
 		}
+		// Neighbours are visited in ascending link ID order, so the walk
+		// and the witness it returns do not depend on map iteration.
 		neighbors := func(v int) []int {
 			out := make([]int, 0, len(adj[v]))
 			for w := range adj[v] {
 				out = append(out, w)
 			}
+			sort.Ints(out)
 			return out
 		}
 		stack := []frame{{v: start, next: neighbors(start)}}

@@ -1,6 +1,7 @@
 package deadlock
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hhc"
@@ -123,6 +124,29 @@ func TestAnalyzeRoutersM2(t *testing.T) {
 					t.Fatalf("%s: invalid witness", tc.name)
 				}
 			}
+		}
+	}
+}
+
+// TestAnalyzeWitnessRepeatable: the dependency graph is held in maps, yet
+// repeated analyses of the same routes must report the identical cycle,
+// so E17's witness-len column is reproducible.
+func TestAnalyzeWitnessRepeatable(t *testing.T) {
+	g := mustGraph(t, 2)
+	first, err := AnalyzeRouter(g, g.Route, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Acyclic {
+		t.Fatal("m=2 shortest routing reported acyclic; no witness to compare")
+	}
+	for i := 1; i < 20; i++ {
+		rep, err := AnalyzeRouter(g, g.Route, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Cycle, first.Cycle) {
+			t.Fatalf("analysis %d: witness %v, first analysis gave %v", i+1, rep.Cycle, first.Cycle)
 		}
 	}
 }
