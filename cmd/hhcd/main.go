@@ -9,7 +9,7 @@
 // before the process exits 0.
 //
 // With -peers, N hhcd processes form one logical sharded service: a
-// consistent-hash ring over the canonical query key assigns each pair an
+// consistent-hash ring over the cache's query key assigns each pair an
 // owning peer, non-owned queries are forwarded there over the binary wire
 // (at most one hop — the frame's hop-guard bit), and an unreachable owner
 // degrades to a correct local answer instead of an error.
@@ -51,7 +51,6 @@ func main() {
 	shed := flag.Float64("shed", pathsvc.DefaultShedThreshold, "queue-fill fraction beyond which responses degrade (0..1]")
 	degradeK := flag.Int("k", pathsvc.DefaultDegradeWidth, "container width served while degraded")
 	capacity := flag.Int("cache-capacity", cache.DefaultCapacity, "max cached containers (<0 = unbounded)")
-	canon := flag.String("canon", "exact", "cache canonicalization: exact|full|off")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	duration := flag.Duration("duration", 0, "serve for this long then drain and exit (0 = until signaled)")
 	logPath := flag.String("log", "", "write structured JSONL logs (connection events, failed requests) to this file; '-' = stderr")
@@ -63,7 +62,7 @@ func main() {
 	flag.Parse()
 
 	err := run(flag.Args(), obsf, *m, *addr, *workers, *queue, *admission,
-		*retryAfter, *timeout, *shed, *degradeK, *capacity, *canon, *drain, *duration,
+		*retryAfter, *timeout, *shed, *degradeK, *capacity, *drain, *duration,
 		*logPath, *slow, *peers, *self)
 	if cerr := obsf.Close(os.Stdout); err == nil {
 		err = cerr
@@ -76,7 +75,7 @@ func main() {
 
 func run(args []string, obsf *cliutil.Obs, m int, addr string, workers, queue int,
 	admission string, retryAfter, timeout time.Duration, shed float64, degradeK, capacity int,
-	canon string, drain, duration time.Duration, logPath string, slow time.Duration,
+	drain, duration time.Duration, logPath string, slow time.Duration,
 	peersSpec string, self int) error {
 	if err := cliutil.NoTrailingArgs(args); err != nil {
 		return err
@@ -85,10 +84,6 @@ func run(args []string, obsf *cliutil.Obs, m int, addr string, workers, queue in
 		return err
 	}
 	policy, err := pathsvc.ParseAdmission(admission)
-	if err != nil {
-		return err
-	}
-	mode, err := cache.ParseCanon(canon)
 	if err != nil {
 		return err
 	}
@@ -138,7 +133,7 @@ func run(args []string, obsf *cliutil.Obs, m int, addr string, workers, queue in
 		DefaultTimeout: timeout,
 		ShedThreshold:  shed,
 		DegradeWidth:   degradeK,
-		Cache:          cache.Options{Capacity: capacity, Canon: mode},
+		Cache:          cache.Options{Capacity: capacity},
 		Reg:            obsf.Registry,
 		Logger:         logger,
 		Requests:       obsf.EnableRequests(slow),

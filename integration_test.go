@@ -118,7 +118,7 @@ func TestConstructionAgreesWithFlowEverywhereM2(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp, err := flow.VertexDisjointPathsDinic(dg, i, j, 0)
+			fp, err := flow.VertexDisjointPaths(dg, i, j, 0, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,8 +58,8 @@ func BenchmarkWarmHit(b *testing.B) {
 }
 
 // BenchmarkWarmHitCanonical rotates through X-translates of a few base
-// pairs: every request is a distinct pair, yet canonicalization answers
-// all of them from the handful of warmed entries.
+// pairs: every request is a distinct pair, yet the X-translation key
+// answers all of them from the handful of warmed entries.
 func BenchmarkWarmHitCanonical(b *testing.B) {
 	g := benchGraph(b, 4)
 	c, err := New(g, Options{})

@@ -4,26 +4,15 @@
 // requests) ask for the same or symmetric pairs over and over; memoizing
 // turns the hot path from microseconds of construction into a map lookup.
 //
-// # Keying and canonicalization
+// # Keying
 //
-// Entries are keyed by (m, order strategy, detour strategy, canonical
-// pair). Before lookup every request pair (u, v) is mapped through a
-// network automorphism (internal/hhc/automorphism.go) onto a canonical
-// representative, so symmetric pairs share one entry:
-//
-//   - CanonExact (default) translates by u.X, canonicalizing (u, v) to
-//     ((0, u.Y), (u.X⊕v.X, v.Y)). All 2^t X-translates of a pair collapse
-//     onto one entry. The construction is exactly equivariant under
-//     X-translation — it consumes the pair only through d = u.X⊕v.X and
-//     XOR-accumulates cube addresses — so cached answers are bit-identical
-//     to direct DisjointPathsOpt output (asserted by tests).
-//   - CanonFull composes an X-translation with the position-shuffle
-//     Y-translation, mapping u onto (0, 0): every pair with the same
-//     relative offset shares one entry (2^t·t-fold collapsing). The mapped
-//     container is a valid verified container, but because the order and
-//     detour strategies rank dimensions by absolute index, it need not be
-//     the byte-for-byte output of the direct construction.
-//   - CanonOff disables canonicalization (for measuring its benefit).
+// Entries are keyed by the pair's X-translation class: (order strategy,
+// detour strategy, u.Y, v.Y, u.X⊕v.X). The construction consumes a pair
+// only through d = u.X⊕v.X and XOR-accumulates cube addresses, so every
+// X-translate (u.X⊕a, u.Y) → (v.X⊕a, v.Y) of a pair gets the same moves
+// from its own source: all 2^t translates share one entry, and a cached
+// answer is bit-identical to direct DisjointPathsOpt output (asserted by
+// tests). The cluster ring (internal/cluster) shards by the same class.
 //
 // # Concurrency
 //
@@ -43,11 +32,10 @@
 //
 // An entry is one pointer-free byte string: the container's move strings
 // (packed.go), one byte a step instead of a 16-byte node. Every path of a
-// container leaves the source, and the canonicalizing automorphisms keep
-// moves, so replaying the canonical container's moves from the requested
-// source gives exactly the container that mapping its nodes would. A
-// container that does not pack (a step between non-adjacent nodes) is an
-// error and is never stored.
+// container leaves the source, and X-translation keeps moves, so replaying
+// the stored moves from any translate's source gives that translate's
+// container. A container that does not pack (a step between non-adjacent
+// nodes) is an error and is never stored.
 package cache
 
 import (
@@ -60,50 +48,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Canon selects the canonicalization applied to request pairs before
-// keying. See the package comment for the trade-offs.
-type Canon int
-
-const (
-	// CanonExact canonicalizes by X-translation only: maximal sharing that
-	// keeps cached results bit-identical to the direct construction.
-	CanonExact Canon = iota
-	// CanonFull canonicalizes by the full translation group (u maps to the
-	// origin): more sharing, containers valid but possibly different from
-	// the direct construction's byte-for-byte output.
-	CanonFull
-	// CanonOff stores every requested pair under its own key.
-	CanonOff
-)
-
-// String names the mode.
-func (c Canon) String() string {
-	switch c {
-	case CanonExact:
-		return "exact"
-	case CanonFull:
-		return "full"
-	case CanonOff:
-		return "off"
-	default:
-		return fmt.Sprintf("Canon(%d)", int(c))
-	}
-}
-
-// ParseCanon parses the CLI spelling of a Canon mode.
-func ParseCanon(s string) (Canon, error) {
-	switch s {
-	case "exact", "":
-		return CanonExact, nil
-	case "full":
-		return CanonFull, nil
-	case "off", "none":
-		return CanonOff, nil
-	default:
-		return 0, fmt.Errorf("cache: unknown canonicalization %q (want exact|full|off)", s)
-	}
-}
-
 // Options tunes a Cache.
 type Options struct {
 	// Shards is the number of independent lock domains; rounded up to a
@@ -113,8 +57,6 @@ type Options struct {
 	// shards (each shard holds Capacity/Shards, at least 1). Zero selects
 	// DefaultCapacity; negative means unbounded.
 	Capacity int
-	// Canon selects pair canonicalization. Zero value = CanonExact.
-	Canon Canon
 }
 
 // Defaults for Options zero values.
@@ -123,15 +65,13 @@ const (
 	DefaultCapacity = 4096
 )
 
-// key identifies one stored container. The canonical source cube address
-// is folded into cx (CanonExact and CanonFull both translate it to 0;
-// CanonOff keeps u.X).
+// key identifies one stored container: an X-translation class of pairs
+// under one pair of strategies.
 type key struct {
 	order  core.OrderStrategy
 	detour core.DetourStrategy
-	m      uint8
 	uy, vy uint8
-	ux, vx uint64
+	dx     uint64 // u.X ^ v.X
 }
 
 // entry is one cached container; moves is immutable once stored.
@@ -161,7 +101,6 @@ type Cache struct {
 	shards   []*shard
 	mask     uint64
 	perShard int // max entries per shard; <0 = unbounded
-	canon    Canon
 	counters stats.CacheCounters
 }
 
@@ -189,17 +128,11 @@ func New(g *hhc.Graph, opts Options) (*Cache, error) {
 	if cap > 0 {
 		perShard = (cap + pow - 1) / pow
 	}
-	switch opts.Canon {
-	case CanonExact, CanonFull, CanonOff:
-	default:
-		return nil, fmt.Errorf("cache: unknown canonicalization mode %d", int(opts.Canon))
-	}
 	c := &Cache{
 		g:        g,
 		shards:   make([]*shard, pow),
 		mask:     uint64(pow - 1),
 		perShard: perShard,
-		canon:    opts.Canon,
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
@@ -213,9 +146,6 @@ func New(g *hhc.Graph, opts Options) (*Cache, error) {
 
 // M returns the son-cube dimension of the bound topology.
 func (c *Cache) M() int { return c.g.M() }
-
-// CanonMode returns the configured canonicalization mode.
-func (c *Cache) CanonMode() Canon { return c.canon }
 
 // Len returns the number of stored containers.
 func (c *Cache) Len() int {
@@ -233,43 +163,9 @@ func (c *Cache) Snapshot() stats.CacheSnapshot {
 	return c.counters.Snapshot(int64(c.Len()))
 }
 
-// canonicalize maps (u, v) to the canonical pair under the configured mode
-// and returns the automorphism carrying the canonical container back onto
-// the requested one. The mapping does not depend on the options; they
-// select the entry through keyFor.
-func (c *Cache) canonicalize(u, v hhc.Node, _ core.Options) (cu, cv hhc.Node, back hhc.Automorphism, err error) {
-	switch c.canon {
-	case CanonOff:
-		back, err = c.g.NewAutomorphism(0, 0) // identity
-		return u, v, back, err
-	case CanonExact:
-		// Translate by u.X: an involution, so the map back is the map there.
-		back, err = c.g.NewAutomorphism(u.X, 0)
-		if err != nil {
-			return
-		}
-		return hhc.Node{X: 0, Y: u.Y}, hhc.Node{X: u.X ^ v.X, Y: v.Y}, back, nil
-	default: // CanonFull
-		var to hhc.Automorphism
-		to, err = c.g.MappingTo(u, hhc.Node{})
-		if err != nil {
-			return
-		}
-		return hhc.Node{}, to.Apply(v), to.Inverse(), nil
-	}
-}
-
-// keyFor builds the shard key for a canonical pair.
-func (c *Cache) keyFor(cu, cv hhc.Node, opt core.Options) key {
-	return key{
-		order:  opt.Order,
-		detour: opt.Detour,
-		m:      uint8(c.g.M()),
-		uy:     cu.Y,
-		vy:     cv.Y,
-		ux:     cu.X,
-		vx:     cv.X,
-	}
+// keyFor builds the key of (u, v)'s X-translation class.
+func keyFor(u, v hhc.Node, opt core.Options) key {
+	return key{order: opt.Order, detour: opt.Detour, uy: u.Y, vy: v.Y, dx: u.X ^ v.X}
 }
 
 // shardFor hashes a key onto its shard (FNV-1a over the key fields).
@@ -286,10 +182,8 @@ func (c *Cache) shardFor(k key) *shard {
 			x >>= 8
 		}
 	}
-	mix(k.ux)
-	mix(k.vx)
-	mix(uint64(k.uy) | uint64(k.vy)<<8 | uint64(k.m)<<16 |
-		uint64(k.order)<<24 | uint64(k.detour)<<32)
+	mix(k.dx)
+	mix(uint64(k.uy) | uint64(k.vy)<<8 | uint64(k.order)<<16 | uint64(k.detour)<<24)
 	return c.shards[h&c.mask]
 }
 
@@ -303,11 +197,7 @@ func (c *Cache) Lookup(u, v hhc.Node, opt core.Options) (p Packed, ok bool) {
 	if !c.g.Contains(u) || !c.g.Contains(v) || u == v {
 		return Packed{}, false
 	}
-	cu, cv, _, err := c.canonicalize(u, v, opt)
-	if err != nil {
-		return Packed{}, false
-	}
-	k := c.keyFor(cu, cv, opt)
+	k := keyFor(u, v, opt)
 	s := c.shardFor(k)
 	s.mu.Lock()
 	p, ok = s.get(k)
@@ -326,11 +216,7 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 	if !c.g.Contains(u) || !c.g.Contains(v) || u == v {
 		return core.DisjointPathsOpt(c.g, u, v, opt)
 	}
-	cu, cv, back, err := c.canonicalize(u, v, opt)
-	if err != nil {
-		return nil, fmt.Errorf("cache: canonicalize: %w", err)
-	}
-	k := c.keyFor(cu, cv, opt)
+	k := keyFor(u, v, opt)
 	s := c.shardFor(k)
 
 	s.mu.Lock()
@@ -353,9 +239,9 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 	s.mu.Unlock()
 	c.counters.Misses.Inc()
 
-	paths, err := core.DisjointPathsOpt(c.g, cu, cv, opt)
+	paths, err := core.DisjointPathsOpt(c.g, u, v, opt)
 	if err == nil {
-		cl.moves, err = pack(cu, paths)
+		cl.moves, err = pack(u, paths)
 	}
 	cl.err = err
 
@@ -371,12 +257,7 @@ func (c *Cache) Paths(u, v hhc.Node, opt core.Options) ([][]hhc.Node, error) {
 		return nil, cl.err
 	}
 	// The store keeps only the moves, so the fresh construction is this
-	// caller's to map onto the requested pair in place.
-	for _, path := range paths {
-		for i, w := range path {
-			path[i] = back.Apply(w)
-		}
-	}
+	// caller's to own.
 	return paths, nil
 }
 

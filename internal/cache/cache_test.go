@@ -29,7 +29,7 @@ func mustCache(t *testing.T, g *hhc.Graph, opts Options) *Cache {
 	return c
 }
 
-// TestExactCanonBitIdentical: with the default canonicalization, cached
+// TestExactCanonBitIdentical: keyed by the X-translation class, cached
 // results — first request (miss) and repeat (hit) alike — are byte-for-byte
 // the direct DisjointPathsOpt output. Exhaustive over all pairs for m=2,
 // randomized for m=3 and 4, across all order strategies.
@@ -111,77 +111,6 @@ func TestExactCanonSharesTranslates(t *testing.T) {
 	snap := c.Snapshot()
 	if snap.Misses != 1 || snap.Hits != 255 {
 		t.Fatalf("counters %v, want 1 miss + 255 hits", snap)
-	}
-}
-
-// TestFullCanonSharesOrbit: under CanonFull, Y-translates collapse too, and
-// every answer is still a valid verified container.
-func TestFullCanonSharesOrbit(t *testing.T) {
-	g := mustGraph(t, 3)
-	c := mustCache(t, g, Options{Canon: CanonFull})
-	r := rand.New(rand.NewSource(9))
-	u0, v0 := hhc.Node{X: 0x31, Y: 2}, hhc.Node{X: 0x9c, Y: 6}
-	for trial := 0; trial < 300; trial++ {
-		// Push the base pair through a random automorphism and request it.
-		f, err := g.NewAutomorphism(uint64(r.Intn(256)), uint8(r.Intn(8)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, v := f.Apply(u0), f.Apply(v0)
-		paths, err := c.Paths(u, v, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.VerifyContainer(g, u, v, paths); err != nil {
-			t.Fatalf("orbit request %d (%s -> %s): %v", trial, g.FormatNode(u), g.FormatNode(v), err)
-		}
-	}
-	if c.Len() != 1 {
-		t.Fatalf("%d entries for one orbit, want 1", c.Len())
-	}
-}
-
-// TestFullCanonRandomPairs: CanonFull stays correct on arbitrary pairs (not
-// just one orbit) and never stores more entries than CanonExact would.
-func TestFullCanonRandomPairs(t *testing.T) {
-	g := mustGraph(t, 4)
-	full := mustCache(t, g, Options{Canon: CanonFull})
-	exact := mustCache(t, g, Options{})
-	pairs := gen.Pairs(g, 200, gen.Uniform, 41)
-	for _, p := range pairs {
-		for _, c := range []*Cache{full, exact} {
-			paths, err := c.Paths(p.U, p.V, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := core.VerifyContainer(g, p.U, p.V, paths); err != nil {
-				t.Fatalf("canon=%v %s -> %s: %v", c.CanonMode(), g.FormatNode(p.U), g.FormatNode(p.V), err)
-			}
-		}
-	}
-	if full.Len() > exact.Len() {
-		t.Fatalf("full canon stored %d entries, exact %d — sharing went backwards", full.Len(), exact.Len())
-	}
-}
-
-// TestCanonOff: every pair gets its own entry.
-func TestCanonOff(t *testing.T) {
-	g := mustGraph(t, 3)
-	c := mustCache(t, g, Options{Canon: CanonOff})
-	base := core.Pair{U: hhc.Node{X: 0x12, Y: 1}, V: hhc.Node{X: 0xe7, Y: 5}}
-	for a := uint64(0); a < 16; a++ {
-		u := hhc.Node{X: base.U.X ^ a, Y: base.U.Y}
-		v := hhc.Node{X: base.V.X ^ a, Y: base.V.Y}
-		paths, err := c.Paths(u, v, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.VerifyContainer(g, u, v, paths); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() != 16 {
-		t.Fatalf("%d entries, want 16 without canonicalization", c.Len())
 	}
 }
 
@@ -303,7 +232,7 @@ func TestBypassInvalidRequests(t *testing.T) {
 }
 
 // TestBatchThroughCache: Cache.Batch matches core.DisjointPathsBatch
-// results exactly (exact canonicalization) and passes BatchVerify.
+// results exactly and passes BatchVerify.
 func TestBatchThroughCache(t *testing.T) {
 	g := mustGraph(t, 3)
 	c := mustCache(t, g, Options{})
@@ -360,27 +289,8 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(g, Options{Shards: -3}); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if _, err := New(g, Options{Canon: Canon(42)}); err == nil {
-		t.Error("unknown canon mode accepted")
-	}
 	c := mustCache(t, g, Options{Shards: 5}) // rounds up to 8
 	if len(c.shards) != 8 {
 		t.Errorf("shards = %d, want 8", len(c.shards))
-	}
-}
-
-// TestParseCanon: CLI spellings round-trip.
-func TestParseCanon(t *testing.T) {
-	for _, c := range []Canon{CanonExact, CanonFull, CanonOff} {
-		got, err := ParseCanon(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseCanon(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if got, err := ParseCanon(""); err != nil || got != CanonExact {
-		t.Errorf("empty spelling: %v, %v", got, err)
-	}
-	if _, err := ParseCanon("bogus"); err == nil {
-		t.Error("bogus spelling accepted")
 	}
 }

@@ -9,12 +9,12 @@ import (
 
 // Every step in HHC is one of m+1 moves: flip local bit i of y, or take the
 // node's one external edge, which flips x-bit y. A container's paths all
-// leave the source, so a container is its move strings alone. The
-// translation automorphisms the cache canonicalizes by keep every move:
-// y ↦ y⊕b keeps "flip bit i" as "flip bit i", and an external edge maps to
-// the image's external edge. Replaying the canonical container's moves
-// from the requested source therefore yields exactly its image under the
-// automorphism, with no start nodes stored and no automorphism applied.
+// leave the source, so a container is its move strings alone. An
+// X-translation x ↦ x⊕a keeps every move: a local step stays the same
+// flip, and an external edge maps to the image's external edge, since y
+// is unchanged. Replaying a stored container's moves from a translate's
+// source therefore yields exactly the translated container, with no start
+// nodes stored and no automorphism applied.
 //
 // The packed layout is one byte holding the path count, then for each path
 // a uvarint move count followed by one byte per move: the one-hot mask of

@@ -16,57 +16,55 @@ import (
 // `go test -race` (the CI race job does) to make the detector bite.
 func TestConcurrentHammer(t *testing.T) {
 	g := mustGraph(t, 3)
-	for _, mode := range []Canon{CanonExact, CanonFull} {
-		// Tiny capacity keeps eviction racing against lookups.
-		c := mustCache(t, g, Options{Shards: 4, Capacity: 32, Canon: mode})
-		base := gen.Pairs(g, 24, gen.Uniform, 3)
-		const workers = 16
-		const perWorker = 150
-		errs := make(chan error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perWorker; i++ {
-					p := base[(w+i)%len(base)]
-					// Interleave translated twins so canonicalization
-					// collapses requests from different goroutines.
-					shift := uint64(i%4) << 4
-					u := hhc.Node{X: p.U.X ^ shift, Y: p.U.Y}
-					v := hhc.Node{X: p.V.X ^ shift, Y: p.V.Y}
-					paths, err := c.Paths(u, v, core.Options{})
-					if err != nil {
-						errs <- err
-						return
-					}
-					if err := core.VerifyContainer(g, u, v, paths); err != nil {
-						errs <- err
-						return
-					}
-					// Scribble over the result: if any slice were shared
-					// with the cache or another caller, later verifies
-					// would explode.
-					for pi := range paths {
-						for ni := range paths[pi] {
-							paths[pi][ni] = hhc.Node{X: ^uint64(0), Y: 0xff}
-						}
+	// Tiny capacity keeps eviction racing against lookups.
+	c := mustCache(t, g, Options{Shards: 4, Capacity: 32})
+	base := gen.Pairs(g, 24, gen.Uniform, 3)
+	const workers = 16
+	const perWorker = 150
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				p := base[(w+i)%len(base)]
+				// Interleave translated twins so one entry answers
+				// requests from different goroutines.
+				shift := uint64(i%4) << 4
+				u := hhc.Node{X: p.U.X ^ shift, Y: p.U.Y}
+				v := hhc.Node{X: p.V.X ^ shift, Y: p.V.Y}
+				paths, err := c.Paths(u, v, core.Options{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := core.VerifyContainer(g, u, v, paths); err != nil {
+					errs <- err
+					return
+				}
+				// Scribble over the result: if any slice were shared
+				// with the cache or another caller, later verifies
+				// would explode.
+				for pi := range paths {
+					for ni := range paths[pi] {
+						paths[pi][ni] = hhc.Node{X: ^uint64(0), Y: 0xff}
 					}
 				}
-				errs <- nil
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			if err != nil {
-				t.Fatalf("canon=%v: %v", mode, err)
 			}
+			errs <- nil
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
-		snap := c.Snapshot()
-		if got := snap.Lookups(); got != workers*perWorker {
-			t.Fatalf("canon=%v: %d lookups accounted, want %d (%v)", mode, got, workers*perWorker, snap)
-		}
+	}
+	snap := c.Snapshot()
+	if got := snap.Lookups(); got != workers*perWorker {
+		t.Fatalf("%d lookups accounted, want %d (%v)", got, workers*perWorker, snap)
 	}
 }
 

@@ -78,8 +78,6 @@ type Config struct {
 	Peers []string
 	// Self is this process's index into Peers.
 	Self int
-	// VNodes is the virtual-node count per peer (0 = DefaultVNodes).
-	VNodes int
 	// Dial tunes the peer-to-peer forwarding connections. Proto is forced
 	// to v2 — forwards always travel the binary wire.
 	Dial pathsvc.DialOptions
@@ -148,7 +146,7 @@ func New(cfg Config) (*Cluster, error) {
 	cfg.Dial.Proto = pathsvc.ProtocolV2
 	c := &Cluster{
 		cfg:   cfg,
-		ring:  NewRing(cfg.Peers, cfg.VNodes),
+		ring:  NewRing(cfg.Peers, DefaultVNodes),
 		peers: make([]*peer, len(cfg.Peers)),
 	}
 	for i, addr := range cfg.Peers {
@@ -166,7 +164,7 @@ func (c *Cluster) Self() string { return c.cfg.Peers[c.cfg.Self] }
 // Ring returns the membership's consistent-hash ring.
 func (c *Cluster) Ring() *Ring { return c.ring }
 
-// Owns reports whether this process owns the pair's canonical key.
+// Owns reports whether this process owns the pair's X-translation class.
 func (c *Cluster) Owns(u, v hhc.Node) bool {
 	return c.ring.Owner(u, v) == c.cfg.Self
 }

@@ -1,15 +1,15 @@
 // Package cluster turns N hhcd processes into one logical path service.
 // Membership is static: every peer is started with the same ordered peer
 // list and its own index in it. A consistent-hash ring over the cache's
-// canonical pair key assigns each (u, v) query class an owning peer;
-// non-owned queries are relayed to their owner over the pathsvc binary
+// pair key assigns each (u, v) query class an owning peer; non-owned
+// queries are relayed to their owner over the pathsvc binary
 // wire (protocol v2) with the hop-guard bit set, so a query crosses at
 // most one peer hop even when two peers disagree about ownership. When
 // the owner is unreachable the server falls back to a local answer —
 // the cluster degrades to correctness-preserving slowness, never to
 // errors.
 //
-// The ring hashes the CanonExact class representative of a pair (see
+// The ring hashes a pair's X-translation class, the cache's key (see
 // internal/cache): all X-translates of a pair share one owner, so the
 // owner's memoized-container cache sees every symmetric variant of its
 // keys and the cluster-wide hit rate matches the single-node one.
@@ -56,8 +56,8 @@ type point struct {
 	peer int // index into Ring.peers
 }
 
-// Ring is an immutable consistent-hash ring over the canonical pair-key
-// space. Construction is deterministic: the same peer list and virtual-node
+// Ring is an immutable consistent-hash ring over the pair-key space.
+// Construction is deterministic: the same peer list and virtual-node
 // count always produce the same ring, on every peer, in every process.
 type Ring struct {
 	points []point // sorted by hash
@@ -113,9 +113,9 @@ func pointHash(peer string, vnode int) uint64 {
 }
 
 // KeyHash hashes a query pair onto the ring's key space through its
-// CanonExact class representative ((0, u.Y), (u.X^v.X, v.Y)): every
-// X-translate of a pair — exactly the requests the owner's cache collapses
-// onto one entry — lands on the same owner.
+// X-translation class (u.X^v.X, u.Y, v.Y): every X-translate of a pair —
+// exactly the requests the owner's cache collapses onto one entry — lands
+// on the same owner.
 func KeyHash(u, v hhc.Node) uint64 {
 	h := uint64(fnvOffset)
 	x := u.X ^ v.X

@@ -147,7 +147,7 @@ func TestRingRemovalMovement(t *testing.T) {
 	}
 }
 
-// TestKeyHashCanonical pins that the ring key is the CanonExact class:
+// TestKeyHashCanonical pins that the ring key is the X-translation class:
 // X-translating both endpoints by the same offset never changes the hash
 // (those requests share a cache entry on the owner), while genuinely
 // different pairs hash apart.

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunWithCacheMatchesDirect: a cached simulation run is bit-identical
-// to an uncached one (exact canonicalization preserves the constructed
-// containers byte-for-byte), and the cache actually absorbs repeated
+// to an uncached one (the cache preserves the constructed containers
+// byte-for-byte), and the cache actually absorbs repeated
 // constructions across runs.
 func TestRunWithCacheMatchesDirect(t *testing.T) {
 	g, err := hhc.New(3)

@@ -145,9 +145,9 @@ type Config struct {
 	FlowPairs []gen.Pair
 	// Cache, when non-nil, serves container constructions through the
 	// memoizing cache instead of building each flow's container directly.
-	// It must be bound to a topology with the same M. With the default
-	// exact canonicalization the simulation result is bit-identical to an
-	// uncached run; sharing the cache across runs amortizes construction.
+	// It must be bound to a topology with the same M. Cached containers
+	// are bit-identical to direct ones, so the simulation result is too;
+	// sharing the cache across runs amortizes construction.
 	Cache *cache.Cache
 	// Obs, when non-nil, receives the run's metrics under the netsim_*
 	// namespace: message counters, the delivered-latency histogram,

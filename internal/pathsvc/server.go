@@ -80,7 +80,7 @@ func ParseAdmission(s string) (Admission, error) {
 // package (internal/cluster); the server only needs ownership answers and
 // a way to relay.
 type Forwarder interface {
-	// Owns reports whether this process owns the canonicalized (u, v) key.
+	// Owns reports whether this process owns (u, v)'s X-translation class.
 	Owns(u, v hhc.Node) bool
 	// Self names this process in the cluster (its own address): the
 	// origin of the queries it forwards and the {peer="..."} label on its
@@ -122,8 +122,6 @@ type Config struct {
 	// DegradeWidth is the container width served while degraded
 	// (0 = DefaultDegradeWidth).
 	DegradeWidth int
-	// MaxBatch bounds OpBatch pair counts (0 = DefaultMaxBatch).
-	MaxBatch int
 	// Cache tunes the memoizing container cache backing the service.
 	Cache cache.Options
 	// Reg, when non-nil, receives the pathsvc_* metric set (plus the
@@ -138,25 +136,29 @@ type Config struct {
 	// attached. Nil disables request tracing at zero cost.
 	Requests *obs.Tracer
 	// Router, when non-nil, shards the query space across cluster peers:
-	// path/route queries whose canonical key this process does not own are
+	// path/route queries whose class key this process does not own are
 	// relayed to the owner (at most once — see the wire's forwarded bit)
 	// and answered locally only when the owner is unreachable.
 	Router Forwarder
-	// ForwardConcurrency bounds in-flight peer forwards
-	// (0 = DefaultForwardConcurrency). Beyond the bound the server answers
-	// locally instead of queueing forwards.
-	ForwardConcurrency int
 }
 
 // Defaults for Config zero values.
 const (
-	DefaultQueueDepth         = 256
-	DefaultRetryAfter         = 50 * time.Millisecond
-	DefaultRequestTimeout     = 2 * time.Second
-	DefaultShedThreshold      = 0.75
-	DefaultDegradeWidth       = 1
-	DefaultMaxBatch           = 1024
-	DefaultForwardConcurrency = 256
+	DefaultQueueDepth     = 256
+	DefaultRetryAfter     = 50 * time.Millisecond
+	DefaultRequestTimeout = 2 * time.Second
+	DefaultShedThreshold  = 0.75
+	DefaultDegradeWidth   = 1
+)
+
+// Fixed serving bounds.
+const (
+	// MaxBatch bounds OpBatch pair counts; New lowers it further when
+	// MaxFrame could not carry that many answers.
+	MaxBatch = 1024
+	// ForwardConcurrency bounds in-flight peer forwards. Beyond the bound
+	// the server answers locally instead of queueing forwards.
+	ForwardConcurrency = 256
 )
 
 // Counters is the always-on (obs-independent) event ledger of a Server,
@@ -388,6 +390,7 @@ type Server struct {
 
 	queue    chan *task
 	shedHigh int
+	maxBatch int // MaxBatch, lowered to what one MaxFrame reply can carry
 
 	quit      chan struct{} // closed by Shutdown: stop admitting work
 	done      chan struct{} // closed by Serve once fully drained
@@ -442,17 +445,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DegradeWidth <= 0 {
 		cfg.DegradeWidth = DefaultDegradeWidth
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	// Even an all-error batch reply spends ~minBatchItemBytes per item, so a
 	// batch larger than this floor could never answer within one frame;
-	// capping MaxBatch lets admission refuse it up front.
-	if floor := (cfg.MaxFrame - batchEnvelopeBytes) / minBatchItemBytes; cfg.MaxBatch > floor {
-		cfg.MaxBatch = floor
-		if cfg.MaxBatch < 1 {
-			cfg.MaxBatch = 1
-		}
+	// capping the batch limit lets admission refuse it up front.
+	maxBatch := MaxBatch
+	if floor := (cfg.MaxFrame - batchEnvelopeBytes) / minBatchItemBytes; maxBatch > floor {
+		maxBatch = max(floor, 1)
 	}
 	switch cfg.Admission {
 	case AdmitReject, AdmitBlock:
@@ -471,21 +469,19 @@ func New(cfg Config) (*Server, error) {
 	if shedHigh < 1 {
 		shedHigh = 1
 	}
-	if cfg.ForwardConcurrency <= 0 {
-		cfg.ForwardConcurrency = DefaultForwardConcurrency
-	}
 	s := &Server{
 		cfg:      cfg,
 		g:        g,
 		cache:    c,
 		queue:    make(chan *task, cfg.QueueDepth),
 		shedHigh: shedHigh,
+		maxBatch: maxBatch,
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	if cfg.Router != nil {
-		s.fwdSem = make(chan struct{}, cfg.ForwardConcurrency)
+		s.fwdSem = make(chan struct{}, ForwardConcurrency)
 	}
 	if cfg.Reg != nil {
 		s.met = newSvcMetrics(cfg.Reg, s)
@@ -820,8 +816,8 @@ func (s *Server) serve(pc *serverConn, req *request) {
 	case OpBatch:
 		if len(req.Pairs) == 0 {
 			msg = "pathsvc: batch with no pairs"
-		} else if len(req.Pairs) > s.cfg.MaxBatch {
-			msg = fmt.Sprintf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.MaxBatch)
+		} else if len(req.Pairs) > s.maxBatch {
+			msg = fmt.Sprintf("pathsvc: batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.maxBatch)
 		}
 	default:
 		msg = fmt.Sprintf("unknown op %q", req.op)
@@ -858,7 +854,7 @@ func (s *Server) serve(pc *serverConn, req *request) {
 }
 
 // admit routes one validated request: in cluster mode, path/route queries
-// whose canonical key another peer owns are relayed there (unless the
+// whose class key another peer owns are relayed there (unless the
 // hop-guard bit says the query already crossed a hop — then this server
 // answers locally no matter what its ring says, so disagreeing membership
 // views can never bounce a query forever); a path query the cache already
