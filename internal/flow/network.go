@@ -3,7 +3,7 @@
 // Menger's theorem into an executable baseline: the maximum number of
 // vertex-disjoint paths between two vertices of an implicit graph.
 //
-// Two solvers are provided:
+// Three solvers are provided:
 //
 //   - MaxFlow: Edmonds–Karp (BFS augmentation). Linear-memory, suitable for
 //     split graphs with millions of vertices when only a handful of
