@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzWireDecode$$' -fuzztime=10s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzWireDecodeV2$$' -fuzztime=10s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzEncodeV1MatchesJSON$$' -fuzztime=10s ./internal/pathsvc
+	$(GO) test -fuzz='FuzzDecodeResponseMatchesJSON$$' -fuzztime=10s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzPackReplay$$' -fuzztime=10s ./internal/cache
 
 # CI-sized fuzzing: 20s per target over the committed seed corpora in
@@ -86,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzWireDecode$$' -fuzztime=20s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzWireDecodeV2$$' -fuzztime=20s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzEncodeV1MatchesJSON$$' -fuzztime=20s ./internal/pathsvc
+	$(GO) test -fuzz='FuzzDecodeResponseMatchesJSON$$' -fuzztime=20s ./internal/pathsvc
 	$(GO) test -fuzz='FuzzPackReplay$$' -fuzztime=20s ./internal/cache
 
 # The 4.2M-pair full verification of the container theorem on HHC_11 (~90s).

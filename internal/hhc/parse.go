@@ -32,21 +32,22 @@ func (g *Graph) ParseNode(s string) (Node, error) {
 }
 
 // parseCoords splits and parses the "x:y" form without topology
-// validation; y is parsed at full width so oversized processor addresses
-// surface as strconv.ErrRange for the caller to map onto its own bounds.
+// validation, allocating nothing on a valid address; y is parsed at full
+// width so oversized processor addresses surface as strconv.ErrRange for
+// the caller to map onto its own bounds.
 func parseCoords(s string) (x, y uint64, err error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
+	xs, ys, ok := strings.Cut(s, ":")
+	if !ok {
 		return 0, 0, fmt.Errorf("hhc: node %q: want x:y", s)
 	}
-	x, err = strconv.ParseUint(strings.TrimSpace(parts[0]), 0, 64)
+	x, err = strconv.ParseUint(strings.TrimSpace(xs), 0, 64)
 	if err != nil {
 		if errors.Is(err, strconv.ErrRange) {
 			return 0, 0, fmt.Errorf("hhc: node %q: %w", s, strconv.ErrRange)
 		}
 		return 0, 0, fmt.Errorf("hhc: node %q: bad cube address: %w", s, err)
 	}
-	y, err = strconv.ParseUint(strings.TrimSpace(parts[1]), 0, 64)
+	y, err = strconv.ParseUint(strings.TrimSpace(ys), 0, 64)
 	if err != nil {
 		if errors.Is(err, strconv.ErrRange) {
 			return 0, 0, fmt.Errorf("hhc: node %q: %w", s, strconv.ErrRange)

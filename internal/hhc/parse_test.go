@@ -154,3 +154,23 @@ func TestFormatNodeWireMatchesFmt(t *testing.T) {
 		t.Errorf("FormatNodeWire allocates %.1f times, want 1", got)
 	}
 }
+
+// nodeSink keeps ParseNodeWire's result alive so the call is not elided.
+var nodeSink Node
+
+// TestParseNodeWireAllocFree: parsing a valid wire address, the v1
+// client's per-node work, allocates nothing; so does the topology-checked
+// ParseNode on the same text.
+func TestParseNodeWireAllocFree(t *testing.T) {
+	g, err := New(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := FormatNodeWire(Node{X: 0xdeadbeefcafe, Y: 42})
+	if got := testing.AllocsPerRun(100, func() { nodeSink, _ = ParseNodeWire(s) }); got != 0 {
+		t.Errorf("ParseNodeWire(%q) allocates %.1f times, want 0", s, got)
+	}
+	if got := testing.AllocsPerRun(100, func() { nodeSink, _ = g.ParseNode(s) }); got != 0 {
+		t.Errorf("ParseNode(%q) allocates %.1f times, want 0", s, got)
+	}
+}

@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
 	"net"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1251,167 +1249,6 @@ func (s *Server) encodeV2(buf []byte, p *pendingReq, out *outcome) []byte {
 
 func frameLimitErrV2(max int) string {
 	return fmt.Sprintf("%s: response exceeds %d bytes", ErrFrameTooLarge.Error(), max)
-}
-
-// encodeV1 appends the JSON frame payload answering p: the only server
-// code that renders nodes as text, and the only one that sees the
-// client's batch pair text again (echoed verbatim per item). It writes
-// Response's fields in struct order under the same omitempty rules, so
-// the bytes are exactly json.Marshal's, without building a Response or
-// a string per node. The reserved Coalesced field is never set.
-//
-//hhc:hotpath
-func (s *Server) encodeV1(buf []byte, p *pendingReq, out *outcome) []byte {
-	start := len(buf)
-	buf = append(buf, `{"ver":`...)
-	buf = strconv.AppendInt(buf, ProtocolVersion, 10)
-	buf = append(buf, `,"id":`...)
-	buf = strconv.AppendUint(buf, p.id, 10)
-	buf = append(buf, `,"op":`...)
-	buf = appendJSONString(buf, p.op)
-	buf = appendStringField(buf, `,"rid":`, p.rid)
-	buf = appendIntField(buf, `,"queue_ns":`, p.queueNS)
-	buf = appendIntField(buf, `,"exec_ns":`, out.execNS)
-	buf = appendStringField(buf, `,"code":`, out.code)
-	buf = appendStringField(buf, `,"err":`, out.errMsg)
-	buf = appendIntField(buf, `,"retry_after_ms":`, wireTimeoutMS(out.retryAfter))
-	if len(out.paths) > 0 {
-		buf = append(buf, `,"paths":`...)
-		buf = appendPathsV1(buf, out.paths)
-	}
-	if len(out.results) > 0 {
-		buf = append(buf, `,"results":[`...)
-		for i := range out.results {
-			item := &out.results[i]
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, `{"u":`...)
-			buf = appendJSONString(buf, p.echo[i][0])
-			buf = append(buf, `,"v":`...)
-			buf = appendJSONString(buf, p.echo[i][1])
-			if len(item.Paths) > 0 {
-				buf = append(buf, `,"paths":`...)
-				buf = appendPathsV1(buf, item.Paths)
-			}
-			buf = appendStringField(buf, `,"err":`, item.Err)
-			buf = append(buf, '}')
-		}
-		buf = append(buf, ']')
-	}
-	if out.degraded {
-		buf = append(buf, `,"degraded":true`...)
-	}
-	buf = appendIntField(buf, `,"width":`, int64(out.width))
-	buf = appendIntField(buf, `,"full":`, int64(out.full))
-	if p.op == OpInfo {
-		buf = appendIntField(buf, `,"m":`, int64(s.g.M()))
-		buf = appendIntField(buf, `,"ver_max":`, MaxProtocolVersion)
-	}
-	buf = append(buf, '}')
-	if size := len(buf) - start; size > p.pc.maxSend {
-		// See encodeV2: the outgrown answer is replaced by a small typed error.
-		buf = frameLimitV1(buf[:start], p, size)
-	}
-	return buf
-}
-
-// frameLimitV1 appends the small typed error that replaces a v1 answer
-// of size bytes outgrowing the connection's frame limit.
-func frameLimitV1(buf []byte, p *pendingReq, size int) []byte {
-	payload, _ := json.Marshal(&Response{Ver: ProtocolVersion, ID: p.id, Op: p.op, Code: CodeInternal,
-		Err: fmt.Sprintf("%v: %d > %d bytes", ErrFrameTooLarge, size, p.pc.maxSend)})
-	return append(buf, payload...)
-}
-
-// appendIntField appends key and v unless v is 0, as omitempty does.
-//
-//hhc:hotpath
-func appendIntField(buf []byte, key string, v int64) []byte {
-	if v == 0 {
-		return buf
-	}
-	buf = append(buf, key...)
-	return strconv.AppendInt(buf, v, 10)
-}
-
-// appendStringField appends key and s quoted unless s is empty, as
-// omitempty does.
-//
-//hhc:hotpath
-func appendStringField(buf []byte, key, s string) []byte {
-	if s == "" {
-		return buf
-	}
-	buf = append(buf, key...)
-	return appendJSONString(buf, s)
-}
-
-// appendPathsV1 appends paths as a JSON array of arrays of node strings.
-// A node's "0x…:…" text never needs escaping.
-//
-//hhc:hotpath
-func appendPathsV1(buf []byte, paths [][]hhc.Node) []byte {
-	buf = append(buf, '[')
-	for i, path := range paths {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '[')
-		for j, n := range path {
-			if j > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, '"')
-			buf = hhc.AppendNodeWire(buf, n)
-			buf = append(buf, '"')
-		}
-		buf = append(buf, ']')
-	}
-	return append(buf, ']')
-}
-
-// appendJSONString appends s quoted exactly as encoding/json quotes it.
-// A string of printable ASCII free of the bytes that encoder escapes
-// (the quote, the backslash, and < > & for HTML) is copied as is;
-// anything else takes the reflective encoder.
-//
-//hhc:hotpath
-func appendJSONString(buf []byte, s string) []byte {
-	if !jsonVerbatim(s) {
-		return appendJSONStringSlow(buf, s)
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
-}
-
-// appendJSONStringSlow is appendJSONString's arm for strings that need
-// escaping: control bytes, non-ASCII text (U+2028 and U+2029 escaped,
-// invalid UTF-8 replaced) and the escaped ASCII bytes.
-func appendJSONStringSlow(buf []byte, s string) []byte {
-	enc, _ := json.Marshal(s)
-	return append(buf, enc...)
-}
-
-// jsonStringLen is len(appendJSONString(nil, s)), computed without
-// copying s when it needs no escaping.
-func jsonStringLen(s string) int {
-	if jsonVerbatim(s) {
-		return len(s) + 2
-	}
-	return len(appendJSONStringSlow(nil, s))
-}
-
-// jsonVerbatim reports whether encoding/json would quote s without
-// changing a byte.
-func jsonVerbatim(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
 }
 
 // batchItemSize is the footprint batch item i adds to p's answer in p's

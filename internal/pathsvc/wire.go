@@ -253,14 +253,34 @@ func DecodeRequest(payload []byte) (Request, error) {
 	return req, nil
 }
 
-// DecodeResponse parses one response payload.
+// DecodeResponse parses one response payload and checks the protocol
+// version. An answer laid out exactly as this package's server writes it
+// is scanned without reflection (see scanResponseV1); anything else, from
+// batch results to whitespace or another encoder's key order, is decoded
+// by encoding/json with the same result. Nothing in the Response aliases
+// payload, but one answer's node strings share one backing string: a
+// caller that keeps a single node keeps that whole answer's text alive.
 func DecodeResponse(payload []byte) (Response, error) {
-	var resp Response
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return Response{}, fmt.Errorf("pathsvc: decode response: %w", err)
+	resp, ok := scanResponseV1(payload)
+	if !ok {
+		var err error
+		if resp, err = unmarshalResponse(payload); err != nil {
+			return Response{}, err
+		}
 	}
 	if resp.Ver != ProtocolVersion {
 		return resp, fmt.Errorf("pathsvc: unsupported protocol version %d (speak %d)", resp.Ver, ProtocolVersion)
+	}
+	return resp, nil
+}
+
+// unmarshalResponse is DecodeResponse's encoding/json arm, kept apart so
+// the Response it hands to json.Unmarshal is not the scanner's: only this
+// one escapes to the heap.
+func unmarshalResponse(payload []byte) (Response, error) {
+	var resp Response
+	if err := json.Unmarshal(payload, &resp); err != nil {
+		return Response{}, fmt.Errorf("pathsvc: decode response: %w", err)
 	}
 	return resp, nil
 }
